@@ -22,6 +22,7 @@
 #include "src/descent/initializers.hpp"
 #include "src/geometry/city_topology.hpp"
 #include "src/markov/fundamental.hpp"
+#include "src/markov/passage_times.hpp"
 #include "src/markov/sparse_mode.hpp"
 #include "src/partition/block_solver.hpp"
 
@@ -60,7 +61,7 @@ SizePoint run_size(std::size_t m, bool run_dense) {
   pt.nnz = sp.nnz();
   pt.density = sp.density();
 
-  // Sparse full analysis (π, Z, R, W through the block/resolvent ladder).
+  // Sparse full analysis (π, Z through the block/resolvent ladder).
   partition::SparseSolveStats stats;
   const auto t0 = std::chrono::steady_clock::now();
   const auto sparse_result =
@@ -97,10 +98,14 @@ SizePoint run_size(std::size_t m, bool run_dense) {
   for (std::size_t i = 0; i < m; ++i)
     pt.pi_gap = std::max(
         pt.pi_gap, std::abs(sparse_result->pi[i] - dense_result->pi[i]));
+  const linalg::Matrix sparse_r =
+      markov::first_passage_times(sparse_result->z, sparse_result->pi);
+  const linalg::Matrix dense_r =
+      markov::first_passage_times(dense_result->z, dense_result->pi);
   for (std::size_t i = 0; i < m; ++i)
     for (std::size_t j = 0; j < m; ++j) {
-      const double ref = dense_result->r(i, j);
-      const double gap = std::abs(sparse_result->r(i, j) - ref);
+      const double ref = dense_r(i, j);
+      const double gap = std::abs(sparse_r(i, j) - ref);
       pt.r_rel_gap = std::max(pt.r_rel_gap, gap / (1.0 + std::abs(ref)));
     }
   if (pt.pi_gap > 1e-8 || pt.r_rel_gap > 1e-8) {

@@ -17,6 +17,7 @@
 #include "src/core/optimizer.hpp"
 #include "src/geometry/topology.hpp"
 #include "src/markov/hitting.hpp"
+#include "src/markov/passage_times.hpp"
 #include "src/util/table.hpp"
 
 int main() {
@@ -37,6 +38,7 @@ int main() {
   opts.seed = 31;
   const auto outcome = core::CoverageOptimizer(problem, opts).run();
   const auto chain = markov::analyze_chain(outcome.p);
+  const linalg::Matrix r = markov::first_passage_times(chain.z, chain.pi);
 
   std::cout << "Facility patrol: response-time analytics "
                "(targets: gate .2, lobby .1, server .3, vault .4)\n\n";
@@ -47,7 +49,7 @@ int main() {
   util::Table response({"alarm at vault, robot at", "mean transitions",
                         "std dev", "mean + 2 sigma"});
   for (std::size_t i = 0; i < 3; ++i) {
-    const double mean = chain.r(i, 3);
+    const double mean = r(i, 3);
     const double sd = std::sqrt(var[i]);
     response.add_row({names[i], util::fmt(mean, 2), util::fmt(sd, 2),
                       util::fmt(mean + 2.0 * sd, 2)});

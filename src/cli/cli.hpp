@@ -59,15 +59,6 @@ core::Problem build_problem(const util::Config& config);
 ///   starts     = <n>         (perturbed only: multi-start count, runs on
 ///                             `ctx`; the winner is bit-identical for any
 ///                             job count)
-///   incremental = <bool>     (default true: probe evaluations run through
-///                             the rank-one ChainSolveCache; false forces
-///                             full O(M³) solves for A/B verification —
-///                             also reachable via --no-incremental or the
-///                             MOCOS_NO_INCREMENTAL environment variable)
-///   sparse     = auto | on | off   (chain-solver selection: auto gates on
-///                             size/density, on forces the sparse path, off
-///                             forces dense; the --sparse flag wins over the
-///                             key and MOCOS_NO_SPARSE wins over everything)
 ///   smoothmax_beta_final = <double>, smoothmax_anneal_stages = <n>
 ///                            (β annealing: with stages >= 2 the run splits
 ///                             into that many warm-started legs — iterations
@@ -114,12 +105,13 @@ core::OptimizationOutcome run_optimization(const util::Config& config,
 
 /// Runs the full CLI. Usage:
 ///
-///   mocos_cli [--jobs N] [--summary FILE] [--no-incremental] [--sparse]
-///             [--metrics FILE] [--trace FILE] [--profile FILE]
-///             <config-file>
-///   mocos_cli [--jobs N] [--summary FILE] [--no-incremental] [--sparse]
-///             [--metrics FILE] [--trace FILE] [--profile FILE]
-///             --batch <dir-or-list>
+///   mocos_cli [--jobs N] [--summary FILE] [--metrics FILE] [--trace FILE]
+///             [--profile FILE] <config-file>
+///   mocos_cli [--jobs N] [--summary FILE] [--metrics FILE] [--trace FILE]
+///             [--profile FILE] --batch <dir-or-list>
+///
+/// The chain solver has no knob: each solve picks the banded backend for
+/// large sparse chains and dense LU otherwise (DESIGN.md §12.4).
 ///
 /// --profile accumulates exclusive/inclusive wall time per named phase
 /// (chain solves, gradient assembly, line-search probes, sparse ladder

@@ -48,7 +48,6 @@ OptimizationOutcome CoverageOptimizer::run(
     cfg.random_start = options_.random_start;
     cfg.perturbed.base.step_policy = descent::StepPolicy::kLineSearch;
     cfg.perturbed.base.keep_trace = options_.keep_trace;
-    cfg.perturbed.base.incremental.enabled = options_.use_incremental;
     // should_stop flows into every start; shared_cache deliberately does not
     // (parallel starts sharing one cache would race on its state).
     cfg.perturbed.base.should_stop = options_.should_stop;
@@ -87,7 +86,6 @@ OptimizationOutcome CoverageOptimizer::run(
     descent::PerturbedConfig cfg;
     cfg.base.step_policy = descent::StepPolicy::kLineSearch;
     cfg.base.keep_trace = options_.keep_trace;
-    cfg.base.incremental.enabled = options_.use_incremental;
     cfg.base.should_stop = options_.should_stop;
     cfg.base.shared_cache = options_.shared_cache;
     cfg.noise_sigma = options_.noise_sigma;
@@ -108,7 +106,6 @@ OptimizationOutcome CoverageOptimizer::run(
   descent::DescentConfig cfg;
   cfg.max_iterations = options_.max_iterations;
   cfg.keep_trace = options_.keep_trace;
-  cfg.incremental.enabled = options_.use_incremental;
   cfg.should_stop = options_.should_stop;
   cfg.shared_cache = options_.shared_cache;
   if (options_.algorithm == Algorithm::kAdaptive) {

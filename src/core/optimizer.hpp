@@ -30,11 +30,6 @@ struct OptimizerOptions {
   /// single call. Starts run on the ExecutionContext handed to run(); the
   /// winner is bit-identical for any job count.
   std::size_t starts = 1;
-  /// Rank-one incremental chain solves for probe evaluations (see
-  /// src/markov/incremental.hpp). False forces every probe onto the full
-  /// O(M³) solve path — the `incremental = false` config key and the CLI
-  /// --no-incremental / MOCOS_NO_INCREMENTAL escape hatch.
-  bool use_incremental = true;
   /// Cooperative cancellation: polled once per descent iteration; returning
   /// true ends the run with StopReason::kCancelled and the best iterate so
   /// far (mocos_serve request deadlines). Null: never stops early.

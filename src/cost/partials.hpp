@@ -23,7 +23,7 @@ struct Partials {
   Partials& operator+=(const Partials& rhs);
 
   /// Zeroes all three buffers in place (no reallocation) so a probe loop —
-  /// e.g. gradient evaluations against an incremental ChainSolveCache — can
+  /// e.g. gradient evaluations against a ChainSolveCache — can
   /// reuse one Partials across iterations.
   void clear();
 };

@@ -12,9 +12,8 @@
 
 namespace mocos::descent {
 
-CachedCostEvaluator::CachedCostEvaluator(const cost::CompositeCost& cost,
-                                         markov::IncrementalConfig config)
-    : cost_(cost), owned_(std::in_place, config), cache_(&*owned_) {}
+CachedCostEvaluator::CachedCostEvaluator(const cost::CompositeCost& cost)
+    : cost_(cost), owned_(std::in_place), cache_(&*owned_) {}
 
 CachedCostEvaluator::CachedCostEvaluator(const cost::CompositeCost& cost,
                                          markov::ChainSolveCache& shared)
@@ -66,10 +65,6 @@ void record_cache_metrics(const markov::ChainSolveCache::Stats& stats) {
   obs::count("chain_cache.sparse_full_solves", stats.sparse_full_solves);
   obs::count("chain_cache.exact_hits", stats.exact_hits);
   obs::count("chain_cache.row_updates", stats.incremental_row_updates);
-  obs::count("chain_cache.denominator_fallbacks",
-             stats.denominator_fallbacks);
-  obs::count("chain_cache.drift_refactors", stats.drift_refactors);
-  obs::count("chain_cache.residual_fallbacks", stats.residual_fallbacks);
 }
 
 }  // namespace mocos::descent

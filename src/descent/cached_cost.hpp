@@ -12,22 +12,17 @@ namespace mocos::descent {
 /// Cost/analysis evaluator backed by a ChainSolveCache, shared by the
 /// deterministic and perturbed descent drivers. Every probe — gradient
 /// evaluations, line-search φ(t) samples, candidate acceptance checks — goes
-/// through one cache, so consecutive probes that differ in a few rows (or
-/// none, as when an accepted step re-analyzes the line search's final probe)
-/// are refreshed by rank-one updates instead of full re-factorizations.
-///
-/// With incremental solves disabled (config, --no-incremental, or the
-/// MOCOS_NO_INCREMENTAL environment variable) the cache degenerates to the
-/// original full-solve pipeline, giving an A/B reference path.
+/// through one cache, so a probe that repeats the last analyzed matrix (an
+/// accepted step re-analyzing the line search's final probe) is free.
 class CachedCostEvaluator {
  public:
-  CachedCostEvaluator(const cost::CompositeCost& cost,
-                      markov::IncrementalConfig config);
+  /// Runs every probe through a private cache.
+  explicit CachedCostEvaluator(const cost::CompositeCost& cost);
 
   /// Rides an externally owned cache instead of a private one — the
   /// mocos_serve warm-reuse path, where consecutive same-topology requests
-  /// probe matrices that are rank-one deltas of each other. The caller
-  /// guarantees exclusive access to `shared` for this evaluator's lifetime.
+  /// share one cache. The caller guarantees exclusive access to `shared` for
+  /// this evaluator's lifetime.
   CachedCostEvaluator(const cost::CompositeCost& cost,
                       markov::ChainSolveCache& shared);
 
@@ -64,7 +59,8 @@ class CachedCostEvaluator {
 };
 
 /// Adds a finished cache's counters to the current metrics registry
-/// (chain_cache.full_solves, .row_updates, ...); no-op when metrics are off.
+/// (chain_cache.{full_solves,sparse_full_solves,exact_hits,row_updates});
+/// no-op when metrics are off.
 /// Called once per evaluator at the end of a descent run — counters are
 /// commutative, so this is jobs-invariant wherever the run executed.
 void record_cache_metrics(const markov::ChainSolveCache::Stats& stats);

@@ -30,13 +30,13 @@ PerturbedDescent::PerturbedDescent(const cost::CompositeCost& cost,
 PerturbedResult PerturbedDescent::run(const markov::TransitionMatrix& start,
                                       util::Rng& rng) const {
   markov::TransitionMatrix p = start;
-  // One incremental solver cache for the whole stochastic run (gradient,
-  // line-search probes, and acceptance evaluations) — the run's own, or the
-  // caller's long-lived one (mocos_serve warm reuse across requests).
+  // One solver cache for the whole stochastic run (gradient, line-search
+  // probes, and acceptance evaluations) — the run's own, or the caller's
+  // long-lived one (mocos_serve warm reuse across requests).
   CachedCostEvaluator evaluator =
       config_.base.shared_cache != nullptr
           ? CachedCostEvaluator(cost_, *config_.base.shared_cache)
-          : CachedCostEvaluator(cost_, config_.base.incremental);
+          : CachedCostEvaluator(cost_);
   double current = evaluator.cost_at(p);
   if (std::isinf(current))
     throw std::invalid_argument("PerturbedDescent: infeasible start matrix");

@@ -96,12 +96,12 @@ DescentResult SteepestDescent::run(
     const markov::TransitionMatrix& start) const {
   markov::TransitionMatrix p = start;
   // All probe evaluations in this run — gradients, line-search samples,
-  // candidate checks — share one incremental solver cache: the run's own, or
-  // the caller's long-lived one (mocos_serve warm reuse across requests).
+  // candidate checks — share one solver cache: the run's own, or the
+  // caller's long-lived one (mocos_serve warm reuse across requests).
   CachedCostEvaluator evaluator =
       config_.shared_cache != nullptr
           ? CachedCostEvaluator(cost_, *config_.shared_cache)
-          : CachedCostEvaluator(cost_, config_.incremental);
+          : CachedCostEvaluator(cost_);
   DescentResult result{p,
                        evaluator.cost_at(p),
                        0,

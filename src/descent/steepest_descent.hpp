@@ -79,13 +79,6 @@ struct DescentConfig {
   double recovery_margin_growth = 16.0;
   double recovery_margin_cap = 1e-4;
 
-  // --- Incremental solver cache (rank-one chain updates) -----------------
-  /// Parameters of the ChainSolveCache all probe evaluations run through.
-  /// Set incremental.enabled = false (or export MOCOS_NO_INCREMENTAL=1, or
-  /// pass --no-incremental to the CLI) to force every probe onto the full
-  /// O(M³) solve path for A/B verification.
-  markov::IncrementalConfig incremental;
-
   // --- Cooperative cancellation + cross-request cache reuse (serve) ------
   /// Polled once per iteration (cheap next to an O(M²) probe); returning
   /// true stops the run with StopReason::kCancelled and the best iterate so
@@ -95,9 +88,9 @@ struct DescentConfig {
   std::function<bool()> should_stop;
   /// Externally owned solver cache to run all probes through instead of a
   /// per-run private one — mocos_serve's warm-cache path, where consecutive
-  /// same-topology requests are rank-one deltas of each other. The caller
-  /// guarantees exclusive access for the duration of the run (the server's
-  /// per-key lanes serialize same-cache requests). Null: private cache.
+  /// same-topology requests share one cache. The caller guarantees exclusive
+  /// access for the duration of the run (the server's per-key lanes
+  /// serialize same-cache requests). Null: private cache.
   markov::ChainSolveCache* shared_cache = nullptr;
 };
 

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "src/linalg/lu.hpp"
-#include "src/markov/passage_times.hpp"
 #include "src/markov/sparse_mode.hpp"
 #include "src/markov/stationary.hpp"
 #include "src/obs/metrics.hpp"
@@ -51,11 +50,8 @@ util::StatusOr<linalg::Matrix> try_fundamental_matrix(
 
 ChainAnalysis analyze_chain(const TransitionMatrix& p) {
   linalg::Vector pi = stationary_distribution(p);
-  linalg::Matrix w = stationary_rows(pi);
   linalg::Matrix z = fundamental_matrix(p.matrix(), pi);
-  linalg::Matrix r = first_passage_times(z, pi);
-  return ChainAnalysis{p, std::move(pi), std::move(w), std::move(z),
-                       std::move(r)};
+  return ChainAnalysis{p, std::move(pi), std::move(z)};
 }
 
 util::StatusOr<ChainAnalysis> try_analyze_chain(const TransitionMatrix& p,
@@ -93,12 +89,40 @@ util::StatusOr<ChainAnalysis> try_analyze_chain(const TransitionMatrix& p,
       try_fundamental_matrix(p.matrix(), *pi);
   if (!z.ok()) return z.status();
 
-  util::StatusOr<linalg::Matrix> r = try_first_passage_times(*z, *pi);
-  if (!r.ok()) return r.status();
+  // A transient state (π_i = 0) still leaves I − P + W invertible; reject
+  // it here, where the cost terms would otherwise divide by π.
+  util::Status positive = util::check_strictly_positive(*pi, "pi");
+  if (!positive.is_ok()) return positive;
 
-  linalg::Matrix w = stationary_rows(*pi);
-  return ChainAnalysis{p, std::move(*pi), std::move(w), std::move(*z),
-                       std::move(*r)};
+  return ChainAnalysis{p, std::move(*pi), std::move(*z)};
+}
+
+util::StatusOr<ChainAnalysis> analysis_from_resolvent(
+    const TransitionMatrix& p, const linalg::Matrix& g) {
+  const std::size_t n = g.rows();
+  const double c = 1.0 / static_cast<double>(n);
+
+  linalg::Vector pi(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) pi[j] += g(i, j);
+  double sum = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    pi[j] *= c;
+    sum += pi[j];
+  }
+  util::Status finite = util::check_finite(pi, "resolvent pi");
+  if (!finite.is_ok()) return finite;
+  util::Status positive = util::check_strictly_positive(pi, "resolvent pi");
+  if (!positive.is_ok()) return positive;
+  for (std::size_t j = 0; j < n; ++j) pi[j] /= sum;
+
+  const linalg::Vector pi_g = linalg::mul(pi, g);
+  linalg::Matrix z(n, n);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) z(i, j) = g(i, j) - pi_g[j] + pi[j];
+  util::Status z_finite = util::check_finite(z, "Z");
+  if (!z_finite.is_ok()) return z_finite;
+  return ChainAnalysis{p, std::move(pi), std::move(z)};
 }
 
 }  // namespace mocos::markov

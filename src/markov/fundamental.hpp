@@ -24,13 +24,13 @@ namespace mocos::markov {
 [[nodiscard]] linalg::Matrix stationary_rows(const linalg::Vector& pi);
 
 /// One-stop analysis of an ergodic chain: everything the cost function and
-/// its gradient need, computed once per optimizer iteration.
+/// its gradient read, computed once per probe. W = stationary_rows(pi) and
+/// R = first_passage_times(z, pi) (Eq. 8) are derived on demand by the few
+/// readers that need them.
 struct ChainAnalysis {
   TransitionMatrix p;
   linalg::Vector pi;   // stationary distribution
-  linalg::Matrix w;    // 1 pi^T
   linalg::Matrix z;    // fundamental matrix
-  linalg::Matrix r;    // expected first passage times R_ij (Eq. 8)
 };
 
 [[nodiscard]] ChainAnalysis analyze_chain(const TransitionMatrix& p);
@@ -43,5 +43,17 @@ struct ChainAnalysis {
 [[nodiscard]] util::StatusOr<ChainAnalysis> try_analyze_chain(
     const TransitionMatrix& p,
     StationarySolver solver = StationarySolver::kDirect);
+
+/// {π, Z} of `p` from its resolvent G = (I − P + 𝟙cᵀ)⁻¹, c = 𝟙/M, however G
+/// was computed (dense LU or the banded backend):
+///
+///   πᵀ = cᵀG, renormalized   (Eq. 5; G𝟙 = 𝟙 makes the mass 1 up to round-off)
+///   A# = G − 𝟙(πᵀG)          (group inverse of I − P, Eq. 7)
+///   Z  = A# + 𝟙πᵀ            (fundamental matrix, Eq. 6)
+///
+/// kNonFiniteValue / kNotErgodic when π is non-finite or not strictly
+/// positive, kNonFiniteValue when Z is not finite.
+[[nodiscard]] util::StatusOr<ChainAnalysis> analysis_from_resolvent(
+    const TransitionMatrix& p, const linalg::Matrix& g);
 
 }  // namespace mocos::markov

@@ -1,37 +1,20 @@
 #include "src/markov/incremental.hpp"
 
-#include <atomic>
-#include <cmath>
-#include <cstdlib>
-#include <string>
 #include <utility>
 
-#include "src/markov/passage_times.hpp"
+#include "src/linalg/guard.hpp"
+#include "src/linalg/lu.hpp"
 #include "src/markov/sparse_mode.hpp"
-#include "src/markov/stationary.hpp"
 #include "src/obs/phase_timer.hpp"
 #include "src/obs/trace.hpp"
 #include "src/partition/block_solver.hpp"
 #include "src/sparse/sparse_matrix.hpp"
-#include "src/util/fault_injection.hpp"
-#include "src/linalg/guard.hpp"
 
 namespace mocos::markov {
 
 namespace {
 
-std::atomic<bool> g_force_disable{false};
-
-/// Break-even for multi-row updates: one Sherman–Morrison row costs ~3M²
-/// flops against ~M³/3 + M·M² for factor + explicit inverse, so beyond
-/// roughly a third of the rows a full re-factorization wins. Descent steps
-/// that move every row therefore rebuild; line-search re-evaluations of an
-/// already-analyzed iterate cost nothing.
-constexpr double kRebuildRowFraction = 1.0 / 3.0;
-
 /// Resolvent system I − P + 𝟙cᵀ with the fixed reference vector c = 𝟙/M.
-/// Unlike I − P + W this does not depend on π, so a row change of P is a
-/// genuine rank-one perturbation of a constant-offset system.
 linalg::Matrix resolvent_system(const linalg::Matrix& p) {
   const std::size_t n = p.rows();
   const double c = 1.0 / static_cast<double>(n);
@@ -42,283 +25,65 @@ linalg::Matrix resolvent_system(const linalg::Matrix& p) {
   return m;
 }
 
-/// Trace note for the rare rank-one-update bailouts (guard trips, drift
-/// refactors). Counters for the same events ride on Stats and are exported
-/// once per descent run via record_cache_metrics.
-void note_fallback(const char* kind) {
+/// Banded-backend G, or nullopt when the sparse resolvent ladder fails (the
+/// caller then factors densely — never a new failure mode).
+std::optional<linalg::Matrix> sparse_resolvent(const linalg::Matrix& p) {
+  const std::size_t n = p.rows();
+  const linalg::Vector c(n, 1.0 / static_cast<double>(n));
+  util::StatusOr<linalg::Matrix> g = partition::try_sparse_resolvent(
+      sparse::SparseMatrix::from_dense(p), c);
+  if (g.ok() && util::all_finite(*g)) return std::move(*g);
   if (obs::trace_active()) {
     obs::trace_instant("chain_cache.fallback", "markov",
-                       obs::TraceArgs().str("kind", kind));
+                       obs::TraceArgs().str("kind", "sparse-reset"));
   }
+  return std::nullopt;
+}
+
+bool same_entries(const linalg::Matrix& a, const linalg::Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  const double* x = a.data();
+  const double* y = b.data();
+  for (std::size_t k = 0; k < a.rows() * a.cols(); ++k)
+    if (x[k] != y[k]) return false;
+  return true;
 }
 
 }  // namespace
 
-bool incremental_globally_disabled() {
-  if (g_force_disable.load(std::memory_order_relaxed)) return true;
-  const char* env = std::getenv("MOCOS_NO_INCREMENTAL");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return !(v.empty() || v == "0" || v == "false" || v == "off");
-}
-
-void force_disable_incremental(bool disabled) {
-  g_force_disable.store(disabled, std::memory_order_relaxed);
-}
-
-ChainSolveCache::ChainSolveCache(IncrementalConfig config) : config_(config) {}
-
-bool ChainSolveCache::incremental_active() const {
-  return config_.enabled && !incremental_globally_disabled();
-}
-
 util::Status ChainSolveCache::reset(const TransitionMatrix& p) {
   obs::ScopedPhase phase("chain.full_solve");
   analysis_.reset();
-  lu_.reset();
-  g_ = linalg::Matrix();
-  updates_since_refactor_ = 0;
-  p_mat_ = p.matrix();
-
-  util::Status input = util::check_row_stochastic(p_mat_);
+  const linalg::Matrix& m = p.matrix();
+  util::Status input = util::check_row_stochastic(m);
   if (!input.is_ok()) return input;
 
-  if (!incremental_active()) {
-    // A/B escape hatch: the exact full pipeline the descent ladder has
-    // always used, byte for byte.
-    util::StatusOr<ChainAnalysis> chain = try_analyze_chain(p);
-    if (!chain.ok()) return chain.status();
-    a_sharp_ = chain->z - chain->w;  // Eq. 7
-    analysis_ = std::move(*chain);
-    ++stats_.full_solves;
-    return util::Status::ok();
-  }
-
-  bool sparse_built = false;
-  if (sparse_path_enabled(p_mat_)) {
-    // Sparse rebuild: the resolvent ladder produces the same G the dense
-    // factorization would (agreement bounded by conditioning, well inside
-    // the 1e-10 parity contract); the Sherman–Morrison row updates then
-    // operate on it exactly as on a dense-built G. Failure falls through to
-    // the dense factorization — never a new failure mode.
-    const sparse::SparseMatrix sp = sparse::SparseMatrix::from_dense(p_mat_);
-    const std::size_t n = p_mat_.rows();
-    const linalg::Vector c(n, 1.0 / static_cast<double>(n));
-    util::StatusOr<linalg::Matrix> sparse_g =
-        partition::try_sparse_resolvent(sp, c);
-    if (sparse_g.ok() && util::all_finite(*sparse_g)) {
-      g_ = std::move(*sparse_g);
-      sparse_built = true;
-      ++stats_.sparse_full_solves;
-    } else {
-      note_fallback("sparse-reset");
-    }
-  }
+  std::optional<linalg::Matrix> g;
+  if (sparse_path_enabled(m)) g = sparse_resolvent(m);
+  const bool sparse_built = g.has_value();
   if (!sparse_built) {
     util::StatusOr<linalg::LuDecomposition> lu =
-        linalg::LuDecomposition::try_factor(resolvent_system(p_mat_));
+        linalg::LuDecomposition::try_factor(resolvent_system(m));
     if (!lu.ok()) return lu.status();
-    g_ = lu->inverse();
-    util::Status finite = util::check_finite(g_, "resolvent G");
-    if (!finite.is_ok()) {
-      g_ = linalg::Matrix();
-      return finite;
-    }
-    lu_ = std::move(*lu);
+    g = lu->inverse();
+    util::Status finite = util::check_finite(*g, "resolvent G");
+    if (!finite.is_ok()) return finite;
   }
 
-  util::Status derived = derive_from_resolvent(p);
-  if (!derived.is_ok()) {
-    analysis_.reset();
-    lu_.reset();
-    g_ = linalg::Matrix();
-    return derived;
-  }
+  util::StatusOr<ChainAnalysis> chain = analysis_from_resolvent(p, *g);
+  if (!chain.ok()) return chain.status();
+  analysis_ = std::move(*chain);
   ++stats_.full_solves;
-  return util::Status::ok();
-}
-
-util::Status ChainSolveCache::derive_from_resolvent(
-    const TransitionMatrix& p) {
-  const std::size_t n = g_.rows();
-  const double c = 1.0 / static_cast<double>(n);
-
-  // πᵀ = cᵀG: the (scaled) column sums of the resolvent.
-  linalg::Vector pi(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) pi[j] += g_(i, j);
-  double sum = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    pi[j] *= c;
-    sum += pi[j];
-  }
-  util::Status finite = util::check_finite(pi, "incremental pi");
-  if (!finite.is_ok()) return finite;
-  util::Status positive =
-      util::check_strictly_positive(pi, "incremental pi");
-  if (!positive.is_ok()) return positive;
-  // G𝟙 = 𝟙 exactly, so the mass cᵀG𝟙 is 1 up to round-off; renormalize.
-  for (std::size_t j = 0; j < n; ++j) pi[j] /= sum;
-
-  // A# = G − 𝟙(πᵀG) (Eq. 7), then Z = A# + W (Eq. 6 rearranged).
-  const linalg::Vector pi_g = linalg::mul(pi, g_);
-  a_sharp_ = linalg::Matrix(n, n);
-  linalg::Matrix z(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      a_sharp_(i, j) = g_(i, j) - pi_g[j];
-      z(i, j) = a_sharp_(i, j) + pi[j];
-    }
-  }
-
-  util::StatusOr<linalg::Matrix> r = try_first_passage_times(z, pi);
-  if (!r.ok()) return r.status();
-
-  linalg::Matrix w = stationary_rows(pi);
-  analysis_.emplace(ChainAnalysis{p, std::move(pi), std::move(w),
-                                  std::move(z), std::move(*r)});
-  return util::Status::ok();
-}
-
-double ChainSolveCache::stationary_residual() const {
-  const std::size_t n = p_mat_.rows();
-  const linalg::Vector& pi = analysis_->pi;
-  double worst = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    double acc = -pi[j];
-    for (std::size_t i = 0; i < n; ++i) acc += pi[i] * p_mat_(i, j);
-    worst = std::max(worst, std::abs(acc));
-  }
-  return worst;
-}
-
-util::Status ChainSolveCache::apply_row_update(std::size_t i,
-                                               const linalg::Vector& new_row) {
-  obs::ScopedPhase phase("chain.row_update");
-  const std::size_t n = g_.rows();
-  // P' = P + e_i bᵀ perturbs the resolvent system by −e_i bᵀ, so
-  // G' = G + (G e_i)(bᵀG) / (1 − bᵀG e_i).
-  linalg::Vector b(n);
-  double denom = 1.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    b[j] = new_row[j] - p_mat_(i, j);
-    denom -= b[j] * g_(j, i);
-  }
-  if (util::fault::fire(util::fault::Site::kIncrementalDenominator) ||
-      std::abs(denom) < config_.min_denominator || !std::isfinite(denom)) {
-    return util::Status(
-        util::StatusCode::kSingularMatrix,
-        "incremental row update: denominator |1 - b^T G e_i| = " +
-            std::to_string(std::abs(denom)) + " below " +
-            std::to_string(config_.min_denominator) +
-            " (row " + std::to_string(i) + ")");
-  }
-  linalg::Vector u(n);  // G e_i
-  for (std::size_t r = 0; r < n; ++r) u[r] = g_(r, i);
-  const linalg::Vector vt = linalg::mul(b, g_);  // bᵀG
-  const double inv = 1.0 / denom;
-  for (std::size_t r = 0; r < n; ++r) {
-    const double scale = u[r] * inv;
-    for (std::size_t j = 0; j < n; ++j) g_(r, j) += scale * vt[j];
-  }
-  for (std::size_t j = 0; j < n; ++j) p_mat_(i, j) = new_row[j];
-  return util::Status::ok();
-}
-
-util::Status ChainSolveCache::update_row(std::size_t i,
-                                         const linalg::Vector& new_row) {
-  if (!has_state())
-    return util::Status(util::StatusCode::kInternal,
-                        "ChainSolveCache::update_row before reset()");
-  const std::size_t n = p_mat_.rows();
-  if (i >= n || new_row.size() != n)
-    return util::Status(util::StatusCode::kSizeMismatch,
-                        "ChainSolveCache::update_row: row index or length "
-                        "does not match the cached chain");
-  util::Status row_ok = util::check_probability_vector(new_row);
-  if (!row_ok.is_ok()) return row_ok;
-
-  auto rebuild_with_row = [&]() -> util::Status {
-    linalg::Matrix m = p_mat_;
-    for (std::size_t j = 0; j < n; ++j) m(i, j) = new_row[j];
-    return reset(TransitionMatrix(std::move(m)));
-  };
-
-  if (!incremental_active() || g_.empty()) return rebuild_with_row();
-  if (updates_since_refactor_ >= config_.refactor_period) {
-    ++stats_.drift_refactors;
-    note_fallback("drift-refactor");
-    return rebuild_with_row();
-  }
-
-  util::Status applied = apply_row_update(i, new_row);
-  if (!applied.is_ok()) {
-    ++stats_.denominator_fallbacks;
-    note_fallback("denominator");
-    return rebuild_with_row();
-  }
-  ++stats_.incremental_row_updates;
-  ++updates_since_refactor_;
-
-  util::Status derived = derive_from_resolvent(TransitionMatrix(p_mat_));
-  if (!derived.is_ok() || stationary_residual() > config_.residual_tolerance) {
-    // Accumulated round-off (or a nearly reducible perturbed chain) broke an
-    // invariant; the re-factorization restores it from scratch.
-    ++stats_.residual_fallbacks;
-    note_fallback("residual");
-    return reset(TransitionMatrix(p_mat_));
-  }
+  if (sparse_built) ++stats_.sparse_full_solves;
   return util::Status::ok();
 }
 
 util::Status ChainSolveCache::update(const TransitionMatrix& p) {
-  if (!has_state() || !incremental_active() || p.size() != p_mat_.rows())
-    return reset(p);
-
-  const std::size_t n = p.size();
-  std::vector<std::size_t> changed;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (p(i, j) != p_mat_(i, j)) {
-        changed.push_back(i);
-        break;
-      }
-    }
-  }
-  if (changed.empty()) {
-    // Same iterate as the cached one (a line search landing on an
-    // already-probed point): the analysis is current.
+  if (has_state() && same_entries(p.matrix(), analysis_->p.matrix())) {
     ++stats_.exact_hits;
     return util::Status::ok();
   }
-  if (static_cast<double>(changed.size()) >
-          kRebuildRowFraction * static_cast<double>(n) ||
-      updates_since_refactor_ + changed.size() > config_.refactor_period) {
-    if (updates_since_refactor_ + changed.size() > config_.refactor_period) {
-      ++stats_.drift_refactors;
-      note_fallback("drift-refactor");
-    }
-    return reset(p);
-  }
-
-  for (std::size_t i : changed) {
-    util::Status applied = apply_row_update(i, p.row(i));
-    if (!applied.is_ok()) {
-      ++stats_.denominator_fallbacks;
-      note_fallback("denominator");
-      return reset(p);
-    }
-    ++stats_.incremental_row_updates;
-    ++updates_since_refactor_;
-  }
-
-  util::Status derived = derive_from_resolvent(p);
-  if (!derived.is_ok() || stationary_residual() > config_.residual_tolerance) {
-    ++stats_.residual_fallbacks;
-    note_fallback("residual");
-    return reset(p);
-  }
-  return util::Status::ok();
+  return reset(p);
 }
 
 }  // namespace mocos::markov

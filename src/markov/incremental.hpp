@@ -3,80 +3,37 @@
 #include <cstddef>
 #include <optional>
 
-#include "src/linalg/lu.hpp"
-#include "src/linalg/matrix.hpp"
 #include "src/markov/fundamental.hpp"
 #include "src/markov/transition_matrix.hpp"
 #include "src/util/status.hpp"
 
 namespace mocos::markov {
 
-/// Tuning knobs for ChainSolveCache. The defaults keep the incremental path
-/// indistinguishable from full solves (agreement to ~1e-10 over hundreds of
-/// consecutive row updates) while still amortizing almost every probe.
-struct IncrementalConfig {
-  /// Master switch; when false every update is a full O(M³) re-solve (the
-  /// MOCOS_NO_INCREMENTAL A/B verification mode).
-  bool enabled = true;
-  /// A Sherman–Morrison update whose denominator |1 - bᵀG e_i| falls below
-  /// this floor is rejected (near-singular perturbed system) and answered
-  /// with a full re-factorization instead.
-  double min_denominator = 1e-8;
-  /// Full re-factorization after this many consecutive row updates, bounding
-  /// the O(ε·κ) round-off drift the rank-one updates accumulate.
-  std::size_t refactor_period = 64;
-  /// After every incremental refresh the stationary residual ‖πP − π‖∞ is
-  /// checked against this tolerance; a violation forces a full rebuild (and
-  /// counts in Stats::residual_fallbacks).
-  double residual_tolerance = 1e-9;
-};
-
-/// Incremental Markov-chain solver cache (rank-one updates).
+/// Memoized chain solve behind every descent probe.
 ///
-/// Coordinate-wise steepest descent perturbs one row of P per probe, so each
-/// probe's chain analysis is an exact rank-one update of the previous one.
-/// The cache maintains the resolvent
+/// reset(p) solves the resolvent
 ///
-///   G = (I − P + 𝟙cᵀ)⁻¹,   c = 𝟙/M  (fixed, independent of P),
+///   G = (I − P + 𝟙cᵀ)⁻¹,   c = 𝟙/M,
 ///
-/// which is nonsingular for every irreducible row-stochastic P and from which
-/// all of Eqs. 5–8 follow in O(M²):
+/// which is nonsingular for every irreducible row-stochastic P, with the
+/// banded backend when sparse_path_enabled(P) picks it and dense LU
+/// otherwise, then derives {π, Z} through analysis_from_resolvent (Eqs. 5–7).
+/// update(p) is an exact-match memo in front of reset(): a probe that repeats
+/// the last analyzed matrix (the gradient analysis of an accepted
+/// line-search candidate) costs nothing.
 ///
-///   πᵀ = cᵀG          (stationary distribution, Eq. 5)
-///   A# = G − 𝟙(πᵀG)   (group inverse of A = I − P, Eq. 7)
-///   Z  = A# + 𝟙πᵀ     (Kemeny–Snell fundamental matrix, Eq. 6)
-///   R  from (Z, π)    (first passage times, Eq. 8)
-///
-/// Replacing row i of P by r adds −e_i bᵀ (b = r − p_i, bᵀ𝟙 = 0) to the
-/// resolvent system, so Sherman–Morrison refreshes G in O(M²):
-///
-///   G' = G + (G e_i)(bᵀG) / (1 − bᵀG e_i).
-///
-/// When the denominator is ill-conditioned (|1 − bᵀG e_i| below
-/// IncrementalConfig::min_denominator), or drift/residual guards trip, the
-/// cache falls back to a full guarded re-factorization through the same
-/// `Try*` layer the descent recovery ladder uses — the caller only ever sees
-/// a Status.
+/// The file and class names predate this design: they once also held
+/// Sherman–Morrison row updates, which measurement showed never ran in a
+/// descent (each probe moves every row) and which were removed.
 class ChainSolveCache {
  public:
-  explicit ChainSolveCache(IncrementalConfig config = {});
-
-  /// Full O(M³) (re)build of the cache state from scratch. Any failure
-  /// (non-ergodic chain, singular resolvent, non-finite values) invalidates
-  /// the cache; has_state() turns false and the status explains why.
+  /// Full solve of `p` from scratch. Any failure (non-ergodic chain,
+  /// singular resolvent, non-finite values) clears the cache; has_state()
+  /// turns false and the status explains why.
   [[nodiscard]] util::Status reset(const TransitionMatrix& p);
 
-  /// Replaces row i of the cached P by `new_row` (a probability vector of
-  /// matching size) via Sherman–Morrison; O(M²) on the happy path, full
-  /// rebuild on guard trips. Requires has_state().
-  [[nodiscard]] util::Status update_row(std::size_t i,
-                                        const linalg::Vector& new_row);
-
-  /// Brings the cache to `p` by diffing rows against the cached matrix and
-  /// applying a rank-one update per changed row. Falls back to reset() when
-  /// the cache is empty, the size changed, too many rows changed to beat a
-  /// re-factorization, or any per-row guard trips. This is the entry point
-  /// the descent drivers call for every probe.
+  /// The entry point the descent drivers call for every probe: an exact hit
+  /// when `p` equals the cached matrix entry for entry, reset(p) otherwise.
   [[nodiscard]] util::Status update(const TransitionMatrix& p);
 
   /// True when the cache holds a valid analysis (last reset/update was ok).
@@ -85,29 +42,15 @@ class ChainSolveCache {
   /// The cached analysis; requires has_state().
   [[nodiscard]] const ChainAnalysis& analysis() const { return *analysis_; }
 
-  /// Group inverse A# = Z − W (Eq. 7), maintained alongside the analysis;
-  /// requires has_state().
-  [[nodiscard]] const linalg::Matrix& a_sharp() const { return a_sharp_; }
-
-  /// LU factors of the resolvent system from the most recent full *dense*
-  /// factorization (empty when the full-solve A/B path is active or when the
-  /// last rebuild went through the sparse resolvent ladder, which produces
-  /// G without dense LU factors).
-  [[nodiscard]] const std::optional<linalg::LuDecomposition>& lu() const {
-    return lu_;
-  }
-
   /// Counters for tests, benches, and the CLI recovery log.
   struct Stats {
-    std::size_t full_solves = 0;            // reset() completions
-    std::size_t sparse_full_solves = 0;     // subset of full_solves whose G
-                                            // came from the sparse ladder
-    std::size_t exact_hits = 0;             // update() with zero changed rows
-                                            // (re-probe of the cached iterate)
+    std::size_t full_solves = 0;         // successful reset() calls
+    std::size_t sparse_full_solves = 0;  // subset of full_solves whose G
+                                         // came from the banded backend
+    std::size_t exact_hits = 0;          // update() of the cached matrix
+    /// Always 0. Kept because the `chain_cache.row_updates` counter and the
+    /// serve response's `cache_row_updates` field are published contracts.
     std::size_t incremental_row_updates = 0;
-    std::size_t denominator_fallbacks = 0;  // |denom| < min_denominator
-    std::size_t drift_refactors = 0;        // refactor_period exceeded
-    std::size_t residual_fallbacks = 0;     // ‖πP − π‖∞ check failed
 
     /// Accumulates another cache's counters (an optimization run can span
     /// several caches — e.g. the stochastic phase and its quench polish).
@@ -116,9 +59,6 @@ class ChainSolveCache {
       sparse_full_solves += other.sparse_full_solves;
       exact_hits += other.exact_hits;
       incremental_row_updates += other.incremental_row_updates;
-      denominator_fallbacks += other.denominator_fallbacks;
-      drift_refactors += other.drift_refactors;
-      residual_fallbacks += other.residual_fallbacks;
     }
 
     /// Counters accumulated since `baseline` (a snapshot of the same cache
@@ -132,51 +72,14 @@ class ChainSolveCache {
       d.exact_hits = exact_hits - baseline.exact_hits;
       d.incremental_row_updates =
           incremental_row_updates - baseline.incremental_row_updates;
-      d.denominator_fallbacks =
-          denominator_fallbacks - baseline.denominator_fallbacks;
-      d.drift_refactors = drift_refactors - baseline.drift_refactors;
-      d.residual_fallbacks = residual_fallbacks - baseline.residual_fallbacks;
       return d;
     }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  [[nodiscard]] const IncrementalConfig& config() const { return config_; }
-
-  /// True when rank-one updates are in use: config().enabled and not
-  /// globally disabled via MOCOS_NO_INCREMENTAL / --no-incremental.
-  [[nodiscard]] bool incremental_active() const;
-
  private:
-  /// Derives π, W, Z, A#, R from g_ and installs the analysis for `p`.
-  [[nodiscard]] util::Status derive_from_resolvent(const TransitionMatrix& p);
-
-  /// The Sherman–Morrison core: refreshes g_ for row i := new_row. Returns
-  /// kSingularMatrix when the denominator guard (or the injected
-  /// kIncrementalDenominator fault) trips; the caller then does a full
-  /// rebuild.
-  [[nodiscard]] util::Status apply_row_update(std::size_t i,
-                                              const linalg::Vector& new_row);
-
-  /// ‖πP − π‖∞ of the cached analysis.
-  [[nodiscard]] double stationary_residual() const;
-
-  IncrementalConfig config_;
-  linalg::Matrix p_mat_;    // cached transition matrix entries
-  linalg::Matrix g_;        // resolvent (empty on the full-solve A/B path)
-  linalg::Matrix a_sharp_;  // group inverse A#
-  std::optional<linalg::LuDecomposition> lu_;
   std::optional<ChainAnalysis> analysis_;
-  std::size_t updates_since_refactor_ = 0;
   Stats stats_;
 };
-
-/// Process-wide escape hatch: true when the MOCOS_NO_INCREMENTAL environment
-/// variable is set (to anything but "0"/"false"/"off"/"") or
-/// force_disable_incremental(true) was called (the CLI --no-incremental
-/// flag / `incremental = false` config key). Caches constructed while this
-/// holds run every update as a full solve, giving a bit-level A/B reference.
-[[nodiscard]] bool incremental_globally_disabled();
-void force_disable_incremental(bool disabled);
 
 }  // namespace mocos::markov

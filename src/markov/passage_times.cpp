@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "src/linalg/lu.hpp"
-#include "src/linalg/guard.hpp"
 
 namespace mocos::markov {
 
@@ -19,19 +18,6 @@ linalg::Matrix first_passage_times(const linalg::Matrix& z,
       r(i, j) = (delta - z(i, j) + z(j, j)) / pi[j];
     }
   }
-  return r;
-}
-
-util::StatusOr<linalg::Matrix> try_first_passage_times(
-    const linalg::Matrix& z, const linalg::Vector& pi) {
-  if (pi.size() != z.rows() || !z.is_square())
-    return util::Status(util::StatusCode::kSizeMismatch,
-                        "try_first_passage_times: size mismatch");
-  util::Status positive = util::check_strictly_positive(pi, "pi");
-  if (!positive.is_ok()) return positive;
-  linalg::Matrix r = first_passage_times(z, pi);
-  util::Status finite = util::check_finite(r, "R");
-  if (!finite.is_ok()) return finite;
   return r;
 }
 

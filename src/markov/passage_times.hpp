@@ -1,7 +1,6 @@
 #pragma once
 
 #include "src/linalg/matrix.hpp"
-#include "src/util/status.hpp"
 
 namespace mocos::markov {
 
@@ -15,12 +14,6 @@ namespace mocos::markov {
 /// reading under which R_ii = 1/π_i.)
 [[nodiscard]] linalg::Matrix first_passage_times(const linalg::Matrix& z,
                                                  const linalg::Vector& pi);
-
-/// Non-throwing variant: validates π is strictly positive before dividing
-/// (kNotErgodic otherwise) and that the resulting times are finite
-/// (kNonFiniteValue), instead of silently producing ±inf rows.
-[[nodiscard]] util::StatusOr<linalg::Matrix> try_first_passage_times(
-    const linalg::Matrix& z, const linalg::Vector& pi);
 
 /// Independent cross-check used by tests: solves, for each destination j,
 /// the linear one-step system  R_ij = 1 + Σ_{k≠j} p_ik R_kj  (i ≠ j) and

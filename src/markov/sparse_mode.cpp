@@ -1,8 +1,6 @@
 #include "src/markov/sparse_mode.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <string>
 
 namespace mocos::markov {
 
@@ -19,15 +17,7 @@ SparseMode sparse_mode() {
   return v < 0 ? SparseMode::kAuto : static_cast<SparseMode>(v);
 }
 
-bool sparse_globally_disabled() {
-  const char* env = std::getenv("MOCOS_NO_SPARSE");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return !(v.empty() || v == "0" || v == "false" || v == "off");
-}
-
 bool sparse_path_enabled(const linalg::Matrix& p) {
-  if (sparse_globally_disabled()) return false;
   const std::size_t n = p.rows();
   switch (sparse_mode()) {
     case SparseMode::kOff:

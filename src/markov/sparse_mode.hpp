@@ -14,20 +14,14 @@ enum class SparseMode {
   kOff,   // dense pipeline only
 };
 
-/// Process-wide override set by the CLI (--sparse / `sparse = ...` config
-/// key). kAuto until forced.
+/// Process-wide override for in-process tests and benches that pin one
+/// backend (dense/sparse parity suites). No CLI flag, config key or
+/// environment variable reaches it. kAuto until forced.
 void force_sparse_mode(SparseMode mode);
 [[nodiscard]] SparseMode sparse_mode();
 
-/// True when the MOCOS_NO_SPARSE environment variable is set (to anything
-/// but "0"/"false"/"off"/"") — the A/B escape hatch mirroring
-/// MOCOS_NO_INCREMENTAL: it wins over any forced mode, so a bit-level dense
-/// reference run never needs a rebuild or flag plumbing.
-[[nodiscard]] bool sparse_globally_disabled();
-
 /// The gate every sparsity-aware entry point consults: should chain `p` go
 /// through the sparse analysis?
-///  - MOCOS_NO_SPARSE set → never;
 ///  - forced kOff → never; forced kOn → whenever M >= 8;
 ///  - kAuto → M >= 192 and density(P) <= 0.25: below that size the dense
 ///    O(M³) pipeline is already microseconds and the sparse machinery is

@@ -6,6 +6,7 @@
 
 #include "src/linalg/eigen.hpp"
 #include "src/linalg/norms.hpp"
+#include "src/markov/passage_times.hpp"
 #include "src/markov/stationary.hpp"
 
 namespace mocos::markov {
@@ -94,10 +95,11 @@ double kemeny_constant(const ChainAnalysis& chain) {
 double kemeny_constant_from_row(const ChainAnalysis& chain, std::size_t row) {
   const std::size_t n = chain.p.size();
   if (row >= n) throw std::out_of_range("kemeny_constant_from_row");
+  const linalg::Matrix r = first_passage_times(chain.z, chain.pi);
   double k = 0.0;
   for (std::size_t j = 0; j < n; ++j) {
     if (j == row) continue;
-    k += chain.pi[j] * chain.r(row, j);
+    k += chain.pi[j] * r(row, j);
   }
   return k;
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/linalg/lu.hpp"
-#include "src/markov/passage_times.hpp"
 #include "src/obs/phase_timer.hpp"
 #include "src/sparse/banded_lu.hpp"
 #include "src/sparse/resolvent_solver.hpp"
@@ -290,8 +289,7 @@ util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
   *stats = SparseSolveStats{};
   const std::size_t n = p.size();
   const sparse::SparseMatrix sp = sparse::SparseMatrix::from_dense(p.matrix());
-  const double c_value = 1.0 / static_cast<double>(n);
-  const linalg::Vector c(n, c_value);
+  const linalg::Vector c(n, 1.0 / static_cast<double>(n));
 
   // Independent stationary estimate: block A/D first, sparse power
   // iteration as its recovery rung. Either way the estimate comes from a
@@ -316,23 +314,11 @@ util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
   }();
   if (!g.ok()) return g.status();
 
-  // πᵀ = cᵀG — identical derivation to the incremental cache so the two
-  // sparse consumers stay bit-compatible.
-  linalg::Vector pi(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) pi[j] += (*g)(i, j);
-  double sum = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    pi[j] *= c_value;
-    sum += pi[j];
-  }
-  util::Status finite = util::check_finite(pi, "sparse pi");
-  if (!finite.is_ok()) return finite;
-  util::Status positive = util::check_strictly_positive(pi, "sparse pi");
-  if (!positive.is_ok()) return positive;
-  for (std::size_t j = 0; j < n; ++j) pi[j] /= sum;
+  util::StatusOr<markov::ChainAnalysis> chain =
+      markov::analysis_from_resolvent(p, *g);
+  if (!chain.ok()) return chain.status();
 
-  stats->pi_gap = inf_norm_diff(pi, *pi_check);
+  stats->pi_gap = inf_norm_diff(chain->pi, *pi_check);
   if (stats->pi_gap > config.pi_agreement_tol)
     return util::Status(
         util::StatusCode::kNotErgodic,
@@ -340,21 +326,7 @@ util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
         "estimates disagree (gap " +
             std::to_string(stats->pi_gap) + " > " +
             std::to_string(config.pi_agreement_tol) + ")");
-
-  // A# = G − 𝟙(πᵀG), Z = A# + W, R from (Z, π) — Eqs. 6–8.
-  const linalg::Vector pi_g = linalg::mul(pi, *g);
-  linalg::Matrix z(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      z(i, j) = (*g)(i, j) - pi_g[j] + pi[j];
-  util::StatusOr<linalg::Matrix> r = [&] {
-    obs::ScopedPhase phase("sparse.passage_times");
-    return markov::try_first_passage_times(z, pi);
-  }();
-  if (!r.ok()) return r.status();
-  linalg::Matrix w = markov::stationary_rows(pi);
-  return markov::ChainAnalysis{p, std::move(pi), std::move(w), std::move(z),
-                               std::move(*r)};
+  return chain;
 }
 
 }  // namespace mocos::partition

@@ -13,7 +13,7 @@ namespace mocos::partition {
 
 /// Tuning knobs for the sparse chain analysis (block stationary solve +
 /// sparse resolvent ladder). Defaults satisfy the acceptance contract:
-/// π/R agreement with the dense pipeline to <= 1e-8 on weakly-coupled maps.
+/// π/Z agreement with the dense pipeline to <= 1e-8 on weakly-coupled maps.
 struct SparseAnalysisConfig {
   PartitionConfig partition;
   /// Aggregation/disaggregation convergence gate on ‖πP − π‖∞.
@@ -76,12 +76,12 @@ struct SparseSolveStats {
     SparseSolveStats* stats = nullptr);
 
 /// Sparsity-aware replacement for markov::try_analyze_chain: computes G
-/// through try_sparse_resolvent, π independently through the block A/D solve
-/// (sparse power iteration as its recovery rung), cross-checks the two
-/// estimates to config.pi_agreement_tol, and derives W/Z/R from the
-/// resolvent exactly as the incremental cache does. Any failure — including
-/// a cross-check disagreement — returns a Status so the caller can fall
-/// back to the dense pipeline.
+/// through try_sparse_resolvent, derives {π, Z} from it with
+/// markov::analysis_from_resolvent (the derivation ChainSolveCache uses),
+/// and cross-checks π against an independent block A/D estimate (sparse
+/// power iteration as its recovery rung) to config.pi_agreement_tol. Any
+/// failure — including a cross-check disagreement — returns a Status so the
+/// caller can fall back to the dense pipeline.
 [[nodiscard]] util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
     const markov::TransitionMatrix& p, const SparseAnalysisConfig& config = {},
     const runtime::ExecutionContext& ctx = {},

@@ -376,8 +376,7 @@ class ServerImpl {
       }
       bool warm_applied = false;
       if (lane != nullptr) {
-        if (config.get_bool("incremental", true))
-          hooks.shared_cache = &lane->cache;
+        hooks.shared_cache = &lane->cache;
         if (req.warm_start && lane->last_solution &&
             lane->last_solution->size() == problem.num_pois()) {
           hooks.warm_start = &*lane->last_solution;

@@ -1,7 +1,15 @@
 #pragma once
 
+#include <unistd.h>
+
+#include <atomic>
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "gtest/gtest.h"
 #include "src/sensing/travel_model.hpp"
 #include "src/core/problem.hpp"
 #include "src/geometry/paper_topologies.hpp"
@@ -65,5 +73,49 @@ inline linalg::Matrix random_direction(std::size_t n, util::Rng& rng) {
   }
   return v;
 }
+
+/// A test file path that cleans up after itself: a unique name under
+/// testing::TempDir(), removed in the destructor, so a failing assertion
+/// cannot leak the file. Only the name is reserved — the code under test (or
+/// write()) creates the file. Movable (the moved-from object removes
+/// nothing), not copyable.
+class TempPath {
+ public:
+  /// `name` ends the file name, so its extension survives.
+  explicit TempPath(const std::string& name)
+      : path_(testing::TempDir() + "mocos_" + std::to_string(::getpid()) +
+              "_" + std::to_string(next_id()) + "_" + name) {}
+  TempPath(TempPath&& other) noexcept
+      : path_(std::exchange(other.path_, std::string())) {}
+  TempPath& operator=(TempPath&& other) noexcept {
+    if (this != &other) {
+      remove_file();
+      path_ = std::exchange(other.path_, std::string());
+    }
+    return *this;
+  }
+  TempPath(const TempPath&) = delete;
+  TempPath& operator=(const TempPath&) = delete;
+  ~TempPath() { remove_file(); }
+
+  [[nodiscard]] const std::string& path() const { return path_; }
+
+  /// Creates (or truncates) the file with `body`; returns the path.
+  const std::string& write(const std::string& body) const {
+    std::ofstream(path_) << body;
+    return path_;
+  }
+
+ private:
+  static unsigned next_id() {
+    static std::atomic<unsigned> counter{0};
+    return counter++;
+  }
+  void remove_file() {
+    if (!path_.empty()) std::remove(path_.c_str());
+  }
+
+  std::string path_;
+};
 
 }  // namespace mocos::test

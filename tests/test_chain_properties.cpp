@@ -2,10 +2,11 @@
 //
 // A seeded generator (Rng::stream, so chain k is reproducible in isolation)
 // produces hundreds of random ergodic chains of varying size; every chain
-// must satisfy the paper's Eqs. 5–8 identities, and the incremental
-// ChainSolveCache must agree with the full solve to 1e-10 after randomized
-// update_row sequences — including when fault injection forces the
-// ill-conditioned-denominator fallback mid-sequence.
+// must satisfy the paper's Eqs. 5–8 identities, and the resolvent route of
+// ChainSolveCache must agree with the full solve to 1e-10 — after a reset
+// and along randomized probe sequences. The cache's memo contract (exact
+// hits, one full solve per changed matrix, no stale state after a failed
+// solve) is pinned here too.
 
 #include <algorithm>
 #include <cmath>
@@ -17,6 +18,7 @@
 #include "src/markov/fundamental.hpp"
 #include "src/markov/group_inverse.hpp"
 #include "src/markov/incremental.hpp"
+#include "src/markov/passage_times.hpp"
 #include "src/util/fault_injection.hpp"
 #include "src/util/rng.hpp"
 #include "tests/helpers.hpp"
@@ -36,8 +38,8 @@ markov::TransitionMatrix generated_chain(std::uint64_t k) {
   return test::random_positive_chain(n, rng, /*floor=*/0.01);
 }
 
-/// A probe row for `update_row`: the current row pulled toward a fresh
-/// random probability vector; stays a probability vector by construction.
+/// A probe row: the current row pulled toward a fresh random probability
+/// vector; stays a probability vector by construction.
 linalg::Vector perturbed_row(const linalg::Matrix& p, std::size_t i,
                              util::Rng& rng) {
   const std::size_t n = p.rows();
@@ -69,12 +71,15 @@ double max_abs_diff(const linalg::Vector& a, const linalg::Vector& b) {
   return worst;
 }
 
-/// Worst entry difference between a cached analysis and a full solve.
+/// Worst entry difference between a cached analysis and a full solve, over
+/// π, Z and the passage times R derived from them.
 double analysis_diff(const markov::ChainAnalysis& a,
                      const markov::ChainAnalysis& b) {
   double worst = max_abs_diff(a.pi, b.pi);
   worst = std::max(worst, max_abs_diff(a.z, b.z));
-  worst = std::max(worst, max_abs_diff(a.r, b.r));
+  worst = std::max(worst,
+                   max_abs_diff(markov::first_passage_times(a.z, a.pi),
+                                markov::first_passage_times(b.z, b.pi)));
   return worst;
 }
 
@@ -99,8 +104,9 @@ TEST(ChainProperties, GeneratedChainsSatisfyPaperIdentities) {
     EXPECT_LE(max_abs_diff(pi_p, chain->pi), 1e-10);
 
     // R_ii = 1/π_i (mean return times, Eq. 8).
+    const linalg::Matrix r = markov::first_passage_times(chain->z, chain->pi);
     for (std::size_t i = 0; i < n; ++i)
-      EXPECT_NEAR(chain->r(i, i) * chain->pi[i], 1.0, 1e-9);
+      EXPECT_NEAR(r(i, i) * chain->pi[i], 1.0, 1e-9);
 
     // ZA = AZ with A = I − P: Z commutes with the generator it inverts.
     linalg::Matrix a(n, n);
@@ -121,15 +127,17 @@ TEST(ChainProperties, CachedResolventMatchesFullAnalysis) {
     ASSERT_TRUE(full.ok());
     EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol);
 
-    // The cached group inverse satisfies Meyer's axioms for A = I − P:
-    // A·A#·A = A, A#·A·A# = A#, A·A# = A#·A.
+    // The group inverse A# = Z − W (Eq. 7) of the cached analysis satisfies
+    // Meyer's axioms for A = I − P: A·A#·A = A, A#·A·A# = A#, A·A# = A#·A.
     const std::size_t n = p.size();
     linalg::Matrix a(n, n);
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < n; ++j)
         a(i, j) = (i == j ? 1.0 : 0.0) - p(i, j);
-    EXPECT_TRUE(markov::satisfies_group_inverse_axioms(a, cache.a_sharp(),
-                                                       1e-8));
+    const markov::ChainAnalysis& cached = cache.analysis();
+    const linalg::Matrix a_sharp =
+        cached.z - markov::stationary_rows(cached.pi);
+    EXPECT_TRUE(markov::satisfies_group_inverse_axioms(a, a_sharp, 1e-8));
   }
 }
 
@@ -148,9 +156,9 @@ TEST(ChainProperties, IncrementalAgreesWithFullAfterRandomUpdateSequences) {
     for (std::size_t u = 0; u < updates; ++u) {
       const std::size_t i = rng.index(n);
       const linalg::Vector row = perturbed_row(p, i, rng);
-      ASSERT_TRUE(cache.update_row(i, row).is_ok())
-          << "update " << u << " row " << i;
       for (std::size_t j = 0; j < n; ++j) p(i, j) = row[j];
+      ASSERT_TRUE(cache.update(markov::TransitionMatrix(p)).is_ok())
+          << "update " << u << " row " << i;
 
       const auto full =
           markov::try_analyze_chain(markov::TransitionMatrix(p));
@@ -158,160 +166,76 @@ TEST(ChainProperties, IncrementalAgreesWithFullAfterRandomUpdateSequences) {
       EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol)
           << "update " << u;
     }
-    EXPECT_GT(cache.stats().incremental_row_updates, 0u);
+    EXPECT_EQ(cache.stats().full_solves, updates + 1);
   }
 }
 
-TEST(ChainProperties, UpdateByMatrixDiffsRowsAndStaysConsistent) {
+TEST(ChainProperties, UpdateOfCachedMatrixIsExactHit) {
+  const markov::TransitionMatrix p = test::chain3();
+  markov::ChainSolveCache cache;
+  ASSERT_TRUE(cache.reset(p).is_ok());
+  const markov::ChainAnalysis before = cache.analysis();
+
+  for (int probe = 0; probe < 3; ++probe)
+    ASSERT_TRUE(cache.update(markov::TransitionMatrix(p.matrix())).is_ok());
+  EXPECT_EQ(cache.stats().full_solves, 1u);
+  EXPECT_EQ(cache.stats().exact_hits, 3u);
+  EXPECT_EQ(cache.stats().incremental_row_updates, 0u);
+  EXPECT_EQ(analysis_diff(cache.analysis(), before), 0.0);
+}
+
+TEST(ChainProperties, ChangedRowTriggersOneFullSolve) {
   const markov::TransitionMatrix start = test::chain3();
   markov::ChainSolveCache cache;
-  ASSERT_TRUE(cache.reset(start).is_ok());
+  ASSERT_TRUE(cache.update(start).is_ok());  // empty cache: a full solve
   ASSERT_EQ(cache.stats().full_solves, 1u);
 
-  // Re-analyzing the identical matrix is free: no solves, no updates, one
-  // exact hit.
-  ASSERT_TRUE(cache.update(start).is_ok());
-  EXPECT_EQ(cache.stats().full_solves, 1u);
-  EXPECT_EQ(cache.stats().incremental_row_updates, 0u);
-  EXPECT_EQ(cache.stats().exact_hits, 1u);
-
-  // A one-row change goes through the rank-one path...
+  // Any changed row (here one entry pair of row 1) is a miss: one full solve
+  // whose result is exactly what a fresh cache computes for that matrix.
   linalg::Matrix m = start.matrix();
   m(1, 0) = 0.2;
   m(1, 1) = 0.5;
-  m(1, 2) = 0.3;
   const markov::TransitionMatrix one_row(m);
   ASSERT_TRUE(cache.update(one_row).is_ok());
-  EXPECT_EQ(cache.stats().incremental_row_updates, 1u);
-  const auto full_one = markov::try_analyze_chain(one_row);
-  ASSERT_TRUE(full_one.ok());
-  EXPECT_LE(analysis_diff(cache.analysis(), *full_one), kAgreementTol);
-
-  // ...while changing every row of a 3-state chain re-factors (3 rank-one
-  // updates would cost more than one direct solve).
-  util::Rng rng(5);
-  const markov::TransitionMatrix all_rows = test::random_positive_chain(3,
-                                                                        rng);
-  ASSERT_TRUE(cache.update(all_rows).is_ok());
-  EXPECT_EQ(cache.stats().incremental_row_updates, 1u);  // unchanged
-  EXPECT_GE(cache.stats().full_solves, 2u);
-  const auto full_all = markov::try_analyze_chain(all_rows);
-  ASSERT_TRUE(full_all.ok());
-  EXPECT_LE(analysis_diff(cache.analysis(), *full_all), kAgreementTol);
-}
-
-TEST(ChainProperties, PeriodicRefactorBoundsDrift) {
-  markov::IncrementalConfig config;
-  config.refactor_period = 4;
-  markov::ChainSolveCache cache(config);
-  const markov::TransitionMatrix start = generated_chain(3);
-  ASSERT_TRUE(cache.reset(start).is_ok());
-
-  util::Rng rng(9);
-  linalg::Matrix p = start.matrix();
-  const std::size_t n = p.rows();
-  for (std::size_t u = 0; u < 13; ++u) {
-    const std::size_t i = rng.index(n);
-    const linalg::Vector row = perturbed_row(p, i, rng);
-    ASSERT_TRUE(cache.update_row(i, row).is_ok());
-    for (std::size_t j = 0; j < n; ++j) p(i, j) = row[j];
-  }
-  // 13 updates at period 4: at least two forced re-factorizations, and the
-  // final state still matches the full solve.
-  EXPECT_GE(cache.stats().drift_refactors, 2u);
-  const auto full = markov::try_analyze_chain(markov::TransitionMatrix(p));
-  ASSERT_TRUE(full.ok());
-  EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol);
-}
-
-TEST(ChainProperties, DenominatorFaultTriggersFullSolveFallback) {
-  // Arm the injected fault so the third Sherman–Morrison denominator reads
-  // as ill-conditioned: the cache must fall back to a full re-factorization
-  // and keep producing answers that agree with the reference pipeline.
-  util::fault::ScopedFault guard(
-      util::fault::Site::kIncrementalDenominator, /*fire_at=*/2, /*count=*/1);
-
-  const markov::TransitionMatrix start = generated_chain(11);
-  const std::size_t n = start.size();
-  markov::ChainSolveCache cache;
-  ASSERT_TRUE(cache.reset(start).is_ok());
-
-  util::Rng rng(41);
-  linalg::Matrix p = start.matrix();
-  for (std::size_t u = 0; u < 6; ++u) {
-    const std::size_t i = rng.index(n);
-    const linalg::Vector row = perturbed_row(p, i, rng);
-    ASSERT_TRUE(cache.update_row(i, row).is_ok()) << "update " << u;
-    for (std::size_t j = 0; j < n; ++j) p(i, j) = row[j];
-
-    const auto full = markov::try_analyze_chain(markov::TransitionMatrix(p));
-    ASSERT_TRUE(full.ok());
-    EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol)
-        << "update " << u;
-  }
-  EXPECT_EQ(cache.stats().denominator_fallbacks, 1u);
-  EXPECT_GE(cache.stats().full_solves, 2u);
-}
-
-TEST(ChainProperties, TinyDenominatorFloorRejectsUpdateWithoutFault) {
-  // A min_denominator floor above 1 makes every real denominator (≈1 for
-  // small perturbations) read as ill-conditioned — the same code path a
-  // genuinely near-singular perturbed system takes.
-  markov::IncrementalConfig config;
-  config.min_denominator = 1.5;
-  markov::ChainSolveCache cache(config);
-  const markov::TransitionMatrix start = test::chain3();
-  ASSERT_TRUE(cache.reset(start).is_ok());
-
-  util::Rng rng(13);
-  linalg::Matrix p = start.matrix();
-  const linalg::Vector row = perturbed_row(p, 0, rng);
-  ASSERT_TRUE(cache.update_row(0, row).is_ok());
-  EXPECT_EQ(cache.stats().denominator_fallbacks, 1u);
-  EXPECT_EQ(cache.stats().incremental_row_updates, 0u);
-  for (std::size_t j = 0; j < 3; ++j) p(0, j) = row[j];
-  const auto full = markov::try_analyze_chain(markov::TransitionMatrix(p));
-  ASSERT_TRUE(full.ok());
-  EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol);
-}
-
-TEST(ChainProperties, EscapeHatchForcesFullSolves) {
-  markov::force_disable_incremental(true);
-  markov::ChainSolveCache cache;
-  EXPECT_FALSE(cache.incremental_active());
-  const markov::TransitionMatrix start = test::chain3();
-  ASSERT_TRUE(cache.reset(start).is_ok());
-
-  util::Rng rng(17);
-  linalg::Matrix p = start.matrix();
-  const linalg::Vector row = perturbed_row(p, 1, rng);
-  ASSERT_TRUE(cache.update_row(1, row).is_ok());
-  EXPECT_EQ(cache.stats().incremental_row_updates, 0u);
   EXPECT_EQ(cache.stats().full_solves, 2u);
+  EXPECT_EQ(cache.stats().exact_hits, 0u);
+  EXPECT_EQ(cache.stats().incremental_row_updates, 0u);
 
-  for (std::size_t j = 0; j < 3; ++j) p(1, j) = row[j];
-  const auto full = markov::try_analyze_chain(markov::TransitionMatrix(p));
+  markov::ChainSolveCache fresh;
+  ASSERT_TRUE(fresh.reset(one_row).is_ok());
+  EXPECT_EQ(analysis_diff(cache.analysis(), fresh.analysis()), 0.0);
+  const auto full = markov::try_analyze_chain(one_row);
   ASSERT_TRUE(full.ok());
-  // The disabled path *is* the reference pipeline, so agreement is exact.
-  EXPECT_EQ(analysis_diff(cache.analysis(), *full), 0.0);
-
-  markov::force_disable_incremental(false);
-  EXPECT_TRUE(cache.incremental_active());
+  EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol);
 }
 
-TEST(ChainProperties, UpdateRowValidatesInput) {
+TEST(ChainProperties, FailedResetClearsStateAndNextUpdateSolves) {
+  const markov::TransitionMatrix p = test::chain3();
   markov::ChainSolveCache cache;
+  ASSERT_TRUE(cache.reset(p).is_ok());
+  {
+    // The resolvent factorization fails once: the cache must not keep the
+    // previous analysis around as if it were current.
+    util::fault::ScopedFault fault(util::fault::Site::kLuFactor,
+                                   /*fire_at=*/0, /*count=*/1);
+    EXPECT_FALSE(cache.reset(p).is_ok());
+  }
   EXPECT_FALSE(cache.has_state());
-  EXPECT_FALSE(cache.update_row(0, {0.5, 0.5}).is_ok());
+  EXPECT_EQ(cache.stats().full_solves, 1u);
 
-  ASSERT_TRUE(cache.reset(test::chain3()).is_ok());
-  EXPECT_EQ(cache.update_row(7, {0.2, 0.3, 0.5}).code(),
-            util::StatusCode::kSizeMismatch);
-  EXPECT_EQ(cache.update_row(0, {0.5, 0.5}).code(),
-            util::StatusCode::kSizeMismatch);
-  EXPECT_FALSE(cache.update_row(0, {0.9, 0.9, -0.8}).is_ok());
-  // The failed updates left the cached analysis untouched.
-  const auto full = markov::try_analyze_chain(test::chain3());
+  // The same matrix again is not a hit: it solves from scratch.
+  ASSERT_TRUE(cache.update(p).is_ok());
+  EXPECT_EQ(cache.stats().full_solves, 2u);
+  EXPECT_EQ(cache.stats().exact_hits, 0u);
+
+  // A chain with two closed classes fails the same way through update().
+  const markov::TransitionMatrix reducible(linalg::Matrix{
+      {1.0, 0.0, 0.0}, {0.0, 0.5, 0.5}, {0.0, 0.5, 0.5}});
+  EXPECT_FALSE(cache.update(reducible).is_ok());
+  EXPECT_FALSE(cache.has_state());
+  ASSERT_TRUE(cache.update(p).is_ok());
+  EXPECT_EQ(cache.stats().full_solves, 3u);
+  const auto full = markov::try_analyze_chain(p);
   ASSERT_TRUE(full.ok());
   EXPECT_LE(analysis_diff(cache.analysis(), *full), kAgreementTol);
 }
@@ -319,10 +243,10 @@ TEST(ChainProperties, UpdateRowValidatesInput) {
 TEST(ChainProperties, OptimizationOutcomeExportsCacheStats) {
   // The descent drivers have always collected ChainSolveCache::Stats; the
   // outcome now carries them across the descent boundary instead of
-  // dropping them. An adaptive run both rebuilds (every dense descent step
-  // changes all rows, which exceeds the rebuild fraction) and re-probes the
-  // cached iterate (the gradient analysis of a just-accepted line-search
-  // candidate), so both counters must be visible on the outcome.
+  // dropping them. An adaptive run both solves (every probe is a new matrix)
+  // and re-probes the cached iterate (the gradient analysis of a
+  // just-accepted line-search candidate), so both counters must be visible
+  // on the outcome.
   const core::Problem problem = test::paper_problem(1, 0.0, 1.0);
   core::OptimizerOptions opts;
   opts.algorithm = core::Algorithm::kAdaptive;

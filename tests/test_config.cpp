@@ -2,8 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
+#include "tests/helpers.hpp"
 
 namespace mocos::util {
 namespace {
@@ -110,11 +109,9 @@ TEST(Config, MalformedLinesThrowWithLineNumber) {
 }
 
 TEST(Config, MalformedFileLineNamesPathAndLine) {
-  const std::string path = testing::TempDir() + "/mocos_config_bad.conf";
-  {
-    std::ofstream out(path);
-    out << "alpha = 1\n\n# comment\nthis line is broken\n";
-  }
+  const test::TempPath file("mocos_config_bad.conf");
+  const std::string& path =
+      file.write("alpha = 1\n\n# comment\nthis line is broken\n");
   try {
     Config::parse_file(path);
     FAIL() << "expected throw";
@@ -123,7 +120,6 @@ TEST(Config, MalformedFileLineNamesPathAndLine) {
     EXPECT_NE(what.find(path + ":4:"), std::string::npos) << what;
     EXPECT_NE(what.find("missing '='"), std::string::npos) << what;
   }
-  std::remove(path.c_str());
 }
 
 TEST(Config, UnreadableFileNamesPathWithStructuredCode) {
@@ -138,14 +134,9 @@ TEST(Config, UnreadableFileNamesPathWithStructuredCode) {
 }
 
 TEST(Config, ParseFileRoundTrip) {
-  const std::string path = testing::TempDir() + "/mocos_config_test.conf";
-  {
-    std::ofstream out(path);
-    out << "alpha = 2.5\nbeta = 0.1\n";
-  }
-  const auto cfg = Config::parse_file(path);
+  const test::TempPath file("mocos_config_test.conf");
+  const auto cfg = Config::parse_file(file.write("alpha = 2.5\nbeta = 0.1\n"));
   EXPECT_DOUBLE_EQ(cfg.get_double("alpha", 0.0), 2.5);
-  std::remove(path.c_str());
   EXPECT_THROW(Config::parse_file("/nonexistent/file.conf"),
                std::runtime_error);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/markov/passage_times.hpp"
 #include "tests/helpers.hpp"
 
 namespace mocos::cost {
@@ -24,10 +25,11 @@ TEST(ExposureTerm, MatchesDirectFormulaFromR) {
     const auto p = test::random_positive_chain(5, rng);
     const auto chain = markov::analyze_chain(p);
     const auto e = ExposureTerm::compute_mean_exposures(chain);
+    const auto r = markov::first_passage_times(chain.z, chain.pi);
     for (std::size_t i = 0; i < 5; ++i) {
       double s = 0.0;
       for (std::size_t j = 0; j < 5; ++j)
-        if (j != i) s += p(i, j) * chain.r(j, i);
+        if (j != i) s += p(i, j) * r(j, i);
       EXPECT_NEAR(e[i], s / (1.0 - p(i, i)), 1e-9);
     }
   }

@@ -10,7 +10,9 @@ Drives the built mocos_cli binary and asserts the DESIGN.md §10 contract:
     jobs-invariance acceptance gate for the metrics layer),
   - the --trace NDJSON converts cleanly through tools/trace/trace2chrome.py
     and the result is loadable Chrome-tracing JSON,
-  - MOCOS_TRACE=file enables tracing without the flag.
+  - MOCOS_TRACE=file enables tracing without the flag,
+  - the chain_cache.* counters of a sparse city run add up to the descent's
+    probes, starts and iterations.
 
 Registered as the `ObsCli.*` ctests; runnable directly:
     python3 tests/test_obs_cli.py --cli build/tools/mocos_cli
@@ -158,6 +160,34 @@ class MetricsOutput(unittest.TestCase):
     def test_metrics_to_unwritable_path_is_a_config_error(self):
         proc = run_cli([SINGLE_CONF, "--metrics", "/nonexistent/dir/m.json"])
         self.assertEqual(proc.returncode, 2)
+
+    def test_chain_cache_counters_match_descent_work(self):
+        """The chain_cache.* counters of a sparse city run say what the
+        solver did: every probe, start and gradient analysis is one full
+        solve or one exact hit, the banded backend served every solve, and
+        no row update happened."""
+        with tempfile.TemporaryDirectory() as tmp:
+            conf = os.path.join(tmp, "city.conf")
+            with open(conf, "w") as f:
+                f.write("topology = city:192:5\nradius = 0.1\n"
+                        "support_radius = 2.0\nalgorithm = adaptive\n"
+                        "iterations = 3\n")
+            metrics = os.path.join(tmp, "m.json")
+            proc = run_cli([conf, "--metrics", metrics])
+            self.assertEqual(proc.returncode, 0, proc.stderr)
+            with open(metrics) as f:
+                counters = json.load(f)["counters"]
+        cache = {k[len("chain_cache."):]: v for k, v in counters.items()
+                 if k.startswith("chain_cache.")}
+        self.assertEqual(set(cache), {"full_solves", "sparse_full_solves",
+                                      "exact_hits", "row_updates"})
+        self.assertEqual(cache["row_updates"], 0)
+        self.assertGreater(cache["full_solves"], 0)
+        self.assertEqual(cache["sparse_full_solves"], cache["full_solves"])
+        self.assertEqual(cache["full_solves"] + cache["exact_hits"],
+                         counters["descent.line_search.probes"]
+                         + counters["descent.runs"]
+                         + counters["descent.iterations"])
 
 
 class TraceOutput(unittest.TestCase):

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <fstream>
 #include <numeric>
 #include <sstream>
@@ -226,20 +225,20 @@ TEST(Determinism, TeamOptimizerBitIdenticalAcrossJobs) {
 
 class BatchCli : public ::testing::Test {
  protected:
+  /// Writes a fixture file; the fixture removes it after the test.
   std::string write(const std::string& name, const std::string& body) {
-    const std::string path = dir_ + "/" + name;
-    std::ofstream out(path);
-    out << body;
-    paths_.push_back(path);
-    return path;
+    return reserve(name).write(body);
   }
 
-  void TearDown() override {
-    for (const auto& p : paths_) std::remove(p.c_str());
+  /// A path the fixture removes after the test (for files the CLI writes).
+  const test::TempPath& reserve(const std::string& name) {
+    return files_.emplace_back(name);
   }
 
-  std::string dir_ = ::testing::TempDir();
-  std::vector<std::string> paths_;
+  /// Path of the k-th file this test wrote or reserved.
+  const std::string& path(std::size_t k) const { return files_[k].path(); }
+
+  std::vector<test::TempPath> files_;
 };
 
 TEST_F(BatchCli, SummaryByteIdenticalAcrossJobs) {
@@ -249,8 +248,8 @@ TEST_F(BatchCli, SummaryByteIdenticalAcrossJobs) {
         "topology = points:0,0;3,0;0,4\niterations = 60\nseed = 4\n");
   write("batch_c.conf", "topology = grid:2x2\nalgorithm = magic\n");
   const std::string list = write(
-      "batch.list", paths_[0] + "\n" + paths_[1] + "\n# comment\n" +
-                        paths_[2] + "\n");
+      "batch.list", path(0) + "\n" + path(1) + "\n# comment\n" +
+                        path(2) + "\n");
 
   std::ostringstream out1, err1, out4, err4;
   const int code1 =
@@ -267,7 +266,7 @@ TEST_F(BatchCli, IsolatesFailingScenarios) {
   write("iso_good.conf", "topology = grid:2x2\niterations = 50\n");
   write("iso_bad.conf", "topology = blob:nope\n");
   const std::string list =
-      write("iso.list", paths_[0] + "\n" + paths_[1] + "\n");
+      write("iso.list", path(0) + "\n" + path(1) + "\n");
 
   std::ostringstream out, err;
   const int code = cli::run_cli({"--batch", list, "--jobs", "2"}, out, err);
@@ -281,9 +280,8 @@ TEST_F(BatchCli, IsolatesFailingScenarios) {
 
 TEST_F(BatchCli, AllGoodScenariosExitZeroAndWriteSummaryFile) {
   write("ok_one.conf", "topology = grid:2x2\niterations = 40\n");
-  const std::string list = write("ok.list", paths_[0] + "\n");
-  const std::string summary = dir_ + "/batch_summary.json";
-  paths_.push_back(summary);
+  const std::string list = write("ok.list", path(0) + "\n");
+  const std::string summary = reserve("batch_summary.json").path();
 
   std::ostringstream out, err;
   const int code = cli::run_cli(
@@ -315,12 +313,10 @@ TEST(CliFlags, RejectsUnknownFlagAndMissingValues) {
 }
 
 TEST(CliFlags, SingleRunIdenticalAcrossJobs) {
-  const std::string path = ::testing::TempDir() + "/jobs_single.conf";
-  {
-    std::ofstream f(path);
-    f << "topology = grid:2x2\niterations = 60\nseed = 9\nstarts = 3\n"
-         "simulate = 2000\nreplications = 4\n";
-  }
+  const test::TempPath file("jobs_single.conf");
+  const std::string& path =
+      file.write("topology = grid:2x2\niterations = 60\nseed = 9\nstarts = 3\n"
+                 "simulate = 2000\nreplications = 4\n");
   std::ostringstream out1, err1, out4, err4;
   const int code1 = cli::run_cli({"--jobs", "1", path}, out1, err1);
   const int code4 = cli::run_cli({"--jobs", "4", path}, out4, err4);
@@ -329,7 +325,6 @@ TEST(CliFlags, SingleRunIdenticalAcrossJobs) {
   EXPECT_EQ(out1.str(), out4.str());
   EXPECT_NE(out1.str().find("replicated validation"), std::string::npos);
   EXPECT_NE(out1.str().find("3 starts"), std::string::npos);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-
 #include "tests/helpers.hpp"
 
 namespace mocos::core {
@@ -49,13 +47,12 @@ TEST(Serialization, RejectsCorruptInput) {
 }
 
 TEST(Serialization, FileRoundTrip) {
-  const std::string path = testing::TempDir() + "/mocos_sched_test.txt";
+  const test::TempPath file("mocos_sched_test.txt");
   util::Rng rng(4);
   const auto p = test::random_positive_chain(4, rng);
-  save_schedule(path, p);
-  const auto q = load_schedule(path);
+  save_schedule(file.path(), p);
+  const auto q = load_schedule(file.path());
   EXPECT_TRUE(linalg::approx_equal(p.matrix(), q.matrix(), 0.0));
-  std::remove(path.c_str());
   EXPECT_THROW(load_schedule("/nonexistent/sched.txt"), std::runtime_error);
   EXPECT_THROW(save_schedule("/nonexistent_dir_zz/s.txt", p),
                std::runtime_error);

@@ -13,7 +13,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -28,6 +27,7 @@
 #include "src/serve/request.hpp"
 #include "src/serve/server.hpp"
 #include "src/util/fault_injection.hpp"
+#include "tests/helpers.hpp"
 
 namespace mocos {
 namespace {
@@ -302,7 +302,8 @@ TEST(ServeLoop, WarmLaneReusesCacheAndSolution) {
 }
 
 TEST(ServeLoop, LruEvictionBoundsLanesAndColdStartsEvictedKeys) {
-  const std::string metrics_path = "serve_eviction_metrics_test.json";
+  const test::TempPath metrics_file("serve_eviction_metrics_test.json");
+  const std::string& metrics_path = metrics_file.path();
   // max_lanes = 1: dispatching key "b" evicts key "a", so a's later
   // warm_start request finds a cold lane and must report warm_started
   // false — and the lane map never holds more than one warm cache.
@@ -332,7 +333,6 @@ TEST(ServeLoop, LruEvictionBoundsLanesAndColdStartsEvictedKeys) {
   EXPECT_NE(contents.str().find("\"serve.lanes.live\": 1"),
             std::string::npos)
       << contents.str();
-  std::remove(metrics_path.c_str());
 }
 
 TEST(ServeLoop, WarmStartedFlagTracksActualApplication) {
@@ -495,7 +495,8 @@ TEST(ServeLoop, EveryLineGetsExactlyOneResponseUnderChaos) {
 }
 
 TEST(ServeLoop, DrainRequestStopsAcceptingAndFlushesMetrics) {
-  const std::string metrics_path = "serve_drain_metrics_test.json";
+  const test::TempPath metrics_file("serve_drain_metrics_test.json");
+  const std::string& metrics_path = metrics_file.path();
   serve::ServeOptions options = test_options();
   options.metrics_path = metrics_path;
   std::string output;
@@ -516,7 +517,6 @@ TEST(ServeLoop, DrainRequestStopsAcceptingAndFlushesMetrics) {
   EXPECT_NE(contents.str().find("serve.requests.total"), std::string::npos);
   EXPECT_NE(contents.str().find("serve.queue.peak_depth"),
             std::string::npos);
-  std::remove(metrics_path.c_str());
 }
 
 // --- Metrics-merge correctness (DESIGN.md §15) -----------------------------
@@ -545,7 +545,8 @@ void expect_delta_sums_match_final_snapshot(
 }
 
 TEST(ServeMetricsMerge, FinalSnapshotEqualsSumOfPerRequestDeltas) {
-  const std::string metrics_path = "serve_merge_metrics_test.json";
+  const test::TempPath metrics_file("serve_merge_metrics_test.json");
+  const std::string& metrics_path = metrics_file.path();
   serve::ServeOptions options = test_options();
   options.jobs = 4;
   options.queue_capacity = 600;
@@ -579,7 +580,6 @@ TEST(ServeMetricsMerge, FinalSnapshotEqualsSumOfPerRequestDeltas) {
   EXPECT_EQ(sums["serve.requests.started"], 480u);
   EXPECT_EQ(sums["descent.runs"], 480u);
   EXPECT_GT(sums["descent.iterations"], 0u);
-  std::remove(metrics_path.c_str());
 }
 
 /// std::streambuf over a fixed string that calls serve::request_drain()
@@ -608,7 +608,8 @@ class DrainingSource : public std::streambuf {
 };
 
 TEST(ServeMetricsMerge, DeltaSumsHoldAcrossMidLogDrain) {
-  const std::string metrics_path = "serve_merge_drain_metrics_test.json";
+  const test::TempPath metrics_file("serve_merge_drain_metrics_test.json");
+  const std::string& metrics_path = metrics_file.path();
   serve::ServeOptions options = test_options();
   options.jobs = 2;
   options.queue_capacity = 600;
@@ -635,7 +636,6 @@ TEST(ServeMetricsMerge, DeltaSumsHoldAcrossMidLogDrain) {
   const std::string metrics_json = read_file(metrics_path);
   ASSERT_FALSE(metrics_json.empty());
   expect_delta_sums_match_final_snapshot(sums, metrics_json);
-  std::remove(metrics_path.c_str());
 }
 
 // --- Live telemetry endpoint (DESIGN.md §15) -------------------------------
@@ -723,8 +723,8 @@ int wait_for_port_file(const std::string& path) {
 }
 
 TEST(ServeTelemetry, EndpointServesMetricsAndHealth) {
-  const std::string port_file = "serve_endpoint_port_test.txt";
-  std::remove(port_file.c_str());
+  const test::TempPath port_path("serve_endpoint_port_test.txt");
+  const std::string& port_file = port_path.path();
   serve::ServeOptions options = test_options();
   options.metrics_port = 0;  // ephemeral
   options.metrics_port_file = port_file;
@@ -779,12 +779,11 @@ TEST(ServeTelemetry, EndpointServesMetricsAndHealth) {
   server.join();
   EXPECT_EQ(report.requests, 2u);
   EXPECT_EQ(report.ok, 2u);
-  std::remove(port_file.c_str());
 }
 
 TEST(ServeTelemetry, ProfileFileWrittenAtDrain) {
-  const std::string profile_path = "serve_profile_test.json";
-  std::remove(profile_path.c_str());
+  const test::TempPath profile_file("serve_profile_test.json");
+  const std::string& profile_path = profile_file.path();
   serve::ServeOptions options = test_options();
   options.jobs = 1;
   options.profile_path = profile_path;
@@ -798,7 +797,6 @@ TEST(ServeTelemetry, ProfileFileWrittenAtDrain) {
   // Stacks are rooted at the serve.request phase the server installs.
   EXPECT_NE(profile.find("\"serve.request\""), std::string::npos) << profile;
   EXPECT_NE(profile.find("\"serve.request;"), std::string::npos) << profile;
-  std::remove(profile_path.c_str());
 }
 
 /// The replay contract with the telemetry plane switched on: the same
@@ -811,8 +809,9 @@ TEST(ServeReplay, EndpointEnabledReplayIsByteIdenticalWhilePolled) {
   options.max_lanes = 3;
   options.metrics_port = 0;
 
-  auto run_polled = [&](std::size_t jobs, const std::string& port_file) {
-    std::remove(port_file.c_str());
+  auto run_polled = [&](std::size_t jobs, const std::string& name) {
+    const test::TempPath port_path(name);
+    const std::string& port_file = port_path.path();
     options.jobs = jobs;
     options.metrics_port_file = port_file;
     std::atomic<bool> stop{false};
@@ -837,7 +836,6 @@ TEST(ServeReplay, EndpointEnabledReplayIsByteIdenticalWhilePolled) {
     const serve::ServeReport report = run_serve(log, output, options);
     stop.store(true, std::memory_order_relaxed);
     poller.join();
-    std::remove(port_file.c_str());
     EXPECT_EQ(report.requests, 500u);
     EXPECT_GT(scrapes.load(), 0u) << "the poller never reached /metrics";
     return output;

@@ -3,13 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 
 #include "src/core/optimizer.hpp"
 #include "src/descent/initializers.hpp"
 #include "src/geometry/city_topology.hpp"
 #include "src/linalg/norms.hpp"
 #include "src/markov/incremental.hpp"
+#include "src/markov/passage_times.hpp"
 #include "src/markov/sparse_mode.hpp"
 #include "src/markov/stationary.hpp"
 #include "src/util/rng.hpp"
@@ -42,6 +42,11 @@ double max_abs_gap(const linalg::Vector& a, const linalg::Vector& b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     gap = std::max(gap, std::abs(a[i] - b[i]));
   return gap;
+}
+
+/// R = first_passage_times(Z, π) of an analysis (Eq. 8).
+linalg::Matrix passage_times(const markov::ChainAnalysis& chain) {
+  return markov::first_passage_times(chain.z, chain.pi);
 }
 
 double max_rel_gap(const linalg::Matrix& a, const linalg::Matrix& b) {
@@ -115,7 +120,8 @@ TEST(SparseAnalysis, PiAndPassageTimesMatchDense) {
   // The acceptance contract: pi and R agree with the dense pipeline to 1e-8
   // on weakly-coupled fixtures.
   EXPECT_LE(max_abs_gap(sparse_chain->pi, dense.pi), 1e-8);
-  EXPECT_LE(max_rel_gap(sparse_chain->r, dense.r), 1e-8);
+  EXPECT_LE(max_rel_gap(passage_times(*sparse_chain), passage_times(dense)),
+            1e-8);
   EXPECT_LE(max_rel_gap(sparse_chain->z, dense.z), 1e-8);
   EXPECT_LE(stats.pi_gap, 1e-8);
   EXPECT_TRUE(stats.used_banded || stats.used_bicgstab);
@@ -131,10 +137,7 @@ TEST(SparseAnalysis, BitIdenticalForAnyJobCount) {
   for (std::size_t i = 0; i < a->pi.size(); ++i)
     EXPECT_EQ(a->pi[i], b->pi[i]);
   for (std::size_t i = 0; i < 144; ++i)
-    for (std::size_t j = 0; j < 144; ++j) {
-      EXPECT_EQ(a->z(i, j), b->z(i, j));
-      EXPECT_EQ(a->r(i, j), b->r(i, j));
-    }
+    for (std::size_t j = 0; j < 144; ++j) EXPECT_EQ(a->z(i, j), b->z(i, j));
 }
 
 TEST(SparseAnalysis, FullyCoupledChainStillMatchesDense) {
@@ -150,7 +153,7 @@ TEST(SparseAnalysis, FullyCoupledChainStillMatchesDense) {
   const auto dense = markov::try_analyze_chain(p);
   ASSERT_TRUE(dense.ok());
   EXPECT_LE(max_abs_gap(chain->pi, dense->pi), 1e-8);
-  EXPECT_LE(max_rel_gap(chain->r, dense->r), 1e-8);
+  EXPECT_LE(max_rel_gap(passage_times(*chain), passage_times(*dense)), 1e-8);
 }
 
 TEST(SparseMode, AutoGateRespectsSizeAndDensity) {
@@ -173,12 +176,6 @@ TEST(SparseMode, AutoGateRespectsSizeAndDensity) {
     EXPECT_TRUE(markov::sparse_path_enabled(big.matrix()));
     // Forced mode still refuses tiny chains (below the M >= 8 floor).
     EXPECT_FALSE(markov::sparse_path_enabled(test::chain2(0.3, 0.4).matrix()));
-    // The environment escape hatch wins over the forced mode.
-    ::setenv("MOCOS_NO_SPARSE", "1", 1);
-    EXPECT_TRUE(markov::sparse_globally_disabled());
-    EXPECT_FALSE(markov::sparse_path_enabled(big.matrix()));
-    ::unsetenv("MOCOS_NO_SPARSE");
-    EXPECT_FALSE(markov::sparse_globally_disabled());
   }
 }
 
@@ -218,34 +215,26 @@ TEST(SparseMode, AutoGatePinnedExactlyAtItsBoundaries) {
 }
 
 TEST(SparseIncremental, CacheParityHoldsAtBlockLevel) {
-  // The incremental cache's parity contract, at block level: a sparse full
-  // rebuild followed by Sherman-Morrison row updates must agree with dense
-  // from-scratch analyses to 1e-10.
+  // The cache's parity contract, at block level: a reset whose resolvent
+  // comes from the banded backend must agree with the dense from-scratch
+  // analysis to 1e-10, along a walk of support-preserving probes.
   ScopedSparseMode forced(markov::SparseMode::kOn);
-  const auto start = city_chain(64, 6);
-
-  markov::ChainSolveCache cache;
-  ASSERT_TRUE(cache.reset(start).is_ok());
-  EXPECT_EQ(cache.stats().sparse_full_solves, 1u);
-  EXPECT_FALSE(cache.lu().has_value());  // G came from the sparse ladder
-
-  // Walk a few support-preserving row perturbations.
-  linalg::Matrix m = start.matrix();
+  linalg::Matrix m = city_chain(64, 6).matrix();
   util::Rng rng(77);
-  for (int step = 0; step < 5; ++step) {
-    const std::size_t row = static_cast<std::size_t>(
-        rng.uniform(0.0, static_cast<double>(m.rows()) - 0.001));
-    linalg::Vector new_row(m.cols(), 0.0);
-    double sum = 0.0;
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      // mocos-lint: allow(float-eq) — structural zeros stay zero
-      if (m(row, j) == 0.0) continue;
-      new_row[j] = m(row, j) * (0.5 + rng.uniform());
-      sum += new_row[j];
+  markov::ChainSolveCache cache;
+  for (std::size_t step = 0; step < 5; ++step) {
+    if (step > 0) {
+      const std::size_t row = static_cast<std::size_t>(
+          rng.uniform(0.0, static_cast<double>(m.rows()) - 0.001));
+      double sum = 0.0;
+      for (std::size_t j = 0; j < m.cols(); ++j) {
+        m(row, j) *= 0.5 + rng.uniform();  // structural zeros stay zero
+        sum += m(row, j);
+      }
+      for (std::size_t j = 0; j < m.cols(); ++j) m(row, j) /= sum;
     }
-    for (std::size_t j = 0; j < m.cols(); ++j) new_row[j] /= sum;
-    ASSERT_TRUE(cache.update_row(row, new_row).is_ok());
-    for (std::size_t j = 0; j < m.cols(); ++j) m(row, j) = new_row[j];
+    ASSERT_TRUE(cache.reset(markov::TransitionMatrix(m)).is_ok());
+    EXPECT_EQ(cache.stats().sparse_full_solves, step + 1);
 
     markov::force_sparse_mode(markov::SparseMode::kOff);
     const markov::ChainAnalysis ref =
@@ -255,9 +244,11 @@ TEST(SparseIncremental, CacheParityHoldsAtBlockLevel) {
     const markov::ChainAnalysis& got = cache.analysis();
     EXPECT_LE(max_abs_gap(got.pi, ref.pi), 1e-10) << "step " << step;
     EXPECT_LE(max_rel_gap(got.z, ref.z), 1e-10) << "step " << step;
-    EXPECT_LE(max_rel_gap(got.r, ref.r), 1e-10) << "step " << step;
+    EXPECT_LE(max_rel_gap(passage_times(got), passage_times(ref)), 1e-10)
+        << "step " << step;
   }
-  EXPECT_GE(cache.stats().incremental_row_updates, 1u);
+  EXPECT_EQ(cache.stats().full_solves, 5u);
+  EXPECT_EQ(cache.stats().incremental_row_updates, 0u);
 }
 
 TEST(SparseDescent, SupportRestrictedProblemKeepsZerosEndToEnd) {

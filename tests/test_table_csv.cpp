@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 
 #include "src/util/csv.hpp"
 #include "src/util/table.hpp"
+#include "tests/helpers.hpp"
 
 namespace mocos::util {
 namespace {
@@ -50,7 +50,8 @@ TEST(Fmt, FixedPrecision) {
 }
 
 TEST(CsvWriter, WritesHeaderAndRows) {
-  const std::string path = testing::TempDir() + "/mocos_csv_test.csv";
+  const test::TempPath file("mocos_csv_test.csv");
+  const std::string& path = file.path();
   {
     CsvWriter w(path, {"x", "y"});
     w.write_row(std::vector<double>{1.0, 2.5});
@@ -64,14 +65,12 @@ TEST(CsvWriter, WritesHeaderAndRows) {
   EXPECT_EQ(line, "1,2.5");
   std::getline(in, line);
   EXPECT_EQ(line, "a,b");
-  std::remove(path.c_str());
 }
 
 TEST(CsvWriter, RejectsColumnMismatch) {
-  const std::string path = testing::TempDir() + "/mocos_csv_test2.csv";
-  CsvWriter w(path, {"x", "y"});
+  const test::TempPath file("mocos_csv_test2.csv");
+  CsvWriter w(file.path(), {"x", "y"});
   EXPECT_THROW(w.write_row(std::vector<double>{1.0}), std::invalid_argument);
-  std::remove(path.c_str());
 }
 
 TEST(CsvWriter, RejectsUnopenablePath) {

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 
 #include "src/geometry/paper_topologies.hpp"
@@ -97,9 +96,9 @@ TEST(RecordTrajectory, CsvRoundTrip) {
   util::Rng rng(7);
   const auto traj =
       record_trajectory(model, markov::TransitionMatrix::uniform(4), 5, rng);
-  const std::string path = testing::TempDir() + "/mocos_traj.csv";
-  traj.write_csv(path);
-  std::ifstream in(path);
+  const test::TempPath file("mocos_traj.csv");
+  traj.write_csv(file.path());
+  std::ifstream in(file.path());
   std::string header;
   std::getline(in, header);
   EXPECT_EQ(header, "t,x,y");
@@ -107,7 +106,6 @@ TEST(RecordTrajectory, CsvRoundTrip) {
   std::string line;
   while (std::getline(in, line)) ++rows;
   EXPECT_EQ(rows, traj.points().size());
-  std::remove(path.c_str());
 }
 
 TEST(RecordTrajectory, ValidatesArguments) {

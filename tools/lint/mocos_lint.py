@@ -121,9 +121,9 @@ SOURCE_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
 
 # Directories (relative to --root, POSIX separators) under the determinism
 # contract: anything here runs, or is reachable from, indexed parallel work.
-# The incremental solver cache is on the list because every descent probe
-# flows through it: nondeterministic iteration there would break the
-# jobs-invariance guarantee end to end. src/obs/ is on the list because its
+# The solver cache (src/markov/incremental.*) is on the list because every
+# descent probe flows through it: nondeterministic iteration there would
+# break the jobs-invariance guarantee end to end. src/obs/ is on the list because its
 # metric values must be jobs-invariant too — its single sanctioned clock
 # site (the trace sink epoch) carries an explicit det-time suppression.
 # src/serve/ is on the list because replayed request logs must be
@@ -139,9 +139,9 @@ DETERMINISM_SCOPE = ("src/runtime/", "src/sim/", "src/descent/", "src/multi/",
                      "src/sparse/", "src/partition/")
 
 # Descent + recovery code must use the guarded Try* solver layer. The
-# incremental cache sits on the descent hot path and owns the fallback from
-# Sherman-Morrison updates to full re-factorization, so its internals are
-# held to the same try_*-only contract. The serve layer's failure-isolation
+# solver cache (src/markov/incremental.*) sits on the descent hot path and
+# owns the fallback from the banded backend to dense LU, so its internals
+# are held to the same try_*-only contract. The serve layer's failure-isolation
 # promise (a numerical fault costs one structured error response, never the
 # process) only holds if it, too, never touches an unguarded solver. The
 # sparse/partition ladder exists to *fall back* on numerical failure
