@@ -1,5 +1,5 @@
-// Sparse chain analysis vs. the dense pipeline at city scale: the tentpole
-// number of the CSR resolvent + block-decomposition work. For each map size M
+// Sparse chain analysis vs. the dense pipeline at city scale: the banded
+// resolvent with its power-iteration π cross-check. For each map size M
 // the bench builds a jittered-grid city chain (support radius 2·spacing,
 // ~13 neighbours per PoI), runs the full sparse analysis
 // (partition::try_sparse_analyze_chain) and — up to the dense cap — the dense
@@ -33,10 +33,7 @@ struct SizePoint {
   std::size_t m = 0;
   std::size_t nnz = 0;
   double density = 0.0;
-  std::size_t blocks = 0;
   std::size_t bandwidth = 0;
-  bool used_banded = false;
-  bool used_bicgstab = false;
   double sparse_seconds = 0.0;
   double dense_seconds = 0.0;  // 0 when the dense reference was skipped
   double speedup = 0.0;        // dense/sparse, 0 when dense skipped
@@ -61,7 +58,7 @@ SizePoint run_size(std::size_t m, bool run_dense) {
   pt.nnz = sp.nnz();
   pt.density = sp.density();
 
-  // Sparse full analysis (π, Z through the block/resolvent ladder).
+  // Sparse full analysis (π, Z through the banded resolvent).
   partition::SparseSolveStats stats;
   const auto t0 = std::chrono::steady_clock::now();
   const auto sparse_result =
@@ -73,10 +70,7 @@ SizePoint run_size(std::size_t m, bool run_dense) {
     std::exit(1);
   }
   pt.sparse_seconds = std::chrono::duration<double>(t1 - t0).count();
-  pt.blocks = stats.blocks;
   pt.bandwidth = stats.bandwidth;
-  pt.used_banded = stats.used_banded;
-  pt.used_bicgstab = stats.used_bicgstab;
 
   if (!run_dense) return pt;
 
@@ -138,10 +132,7 @@ void write_json(const std::vector<SizePoint>& points) {
     out << "    {\"m\": " << pt.m << ", \"nnz\": " << pt.nnz
         << ", \"density\": ";
     num(pt.density);
-    out << ", \"blocks\": " << pt.blocks
-        << ", \"bandwidth\": " << pt.bandwidth << ", \"used_banded\": "
-        << (pt.used_banded ? "true" : "false") << ", \"used_bicgstab\": "
-        << (pt.used_bicgstab ? "true" : "false") << ", \"sparse_seconds\": ";
+    out << ", \"bandwidth\": " << pt.bandwidth << ", \"sparse_seconds\": ";
     num(pt.sparse_seconds);
     out << ", \"dense_seconds\": ";
     num(pt.dense_seconds);
@@ -158,7 +149,7 @@ void write_json(const std::vector<SizePoint>& points) {
 }
 
 int run() {
-  banner("sparse chain analysis: block/resolvent ladder vs dense pipeline");
+  banner("sparse chain analysis: banded resolvent vs dense pipeline");
   const std::vector<std::size_t> sizes =
       quick_mode() ? std::vector<std::size_t>{128, 256}
                    : std::vector<std::size_t>{256, 512, 1024, 2048};
@@ -167,13 +158,13 @@ int run() {
   const std::size_t dense_cap = scaled(1024, 256);
 
   std::vector<SizePoint> points;
-  util::Table t({"M", "nnz", "blocks", "band", "sparse s", "dense s",
+  util::Table t({"M", "nnz", "band", "sparse s", "dense s",
                  "speedup", "pi gap", "R rel gap"});
   for (std::size_t m : sizes) {
     points.push_back(run_size(m, m <= dense_cap));
     const SizePoint& pt = points.back();
     t.add_row({std::to_string(pt.m), std::to_string(pt.nnz),
-               std::to_string(pt.blocks), std::to_string(pt.bandwidth),
+               std::to_string(pt.bandwidth),
                util::fmt(pt.sparse_seconds, 4),
                pt.dense_seconds > 0.0 ? util::fmt(pt.dense_seconds, 4) : "-",
                pt.speedup > 0.0 ? util::fmt(pt.speedup, 2) : "-",

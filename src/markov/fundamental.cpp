@@ -59,11 +59,11 @@ util::StatusOr<ChainAnalysis> try_analyze_chain(const TransitionMatrix& p,
   util::Status input = util::check_row_stochastic(p.matrix());
   if (!input.is_ok()) return input;
 
-  // Sparsity-aware path (CSR resolvent + block decomposition). Only the
-  // primary solver selection dispatches here — a caller already demoted to
-  // the power-iteration rung is recovering from a failure and should get
-  // the plain dense pipeline. Any sparse failure falls through to dense, so
-  // this dispatch never introduces a new failure mode.
+  // Sparsity-aware path (banded resolvent + power-iteration cross-check).
+  // Only the primary solver selection dispatches here — a caller already
+  // demoted to the power-iteration rung is recovering from a failure and
+  // should get the plain dense pipeline. Any sparse failure falls through
+  // to dense, so this dispatch never introduces a new failure mode.
   if (solver == StationarySolver::kDirect && sparse_path_enabled(p.matrix())) {
     partition::SparseSolveStats sparse_stats;
     util::StatusOr<ChainAnalysis> sparse_result =
@@ -72,10 +72,6 @@ util::StatusOr<ChainAnalysis> try_analyze_chain(const TransitionMatrix& p,
       obs::count("markov.sparse.solves");
       obs::gauge_set("markov.sparse.bandwidth",
                      static_cast<double>(sparse_stats.bandwidth));
-      obs::gauge_set("markov.sparse.blocks",
-                     static_cast<double>(sparse_stats.blocks));
-      obs::gauge_set("markov.sparse.ad_sweeps",
-                     static_cast<double>(sparse_stats.ad_sweeps));
       obs::gauge_set("markov.sparse.pi_gap", sparse_stats.pi_gap);
       return sparse_result;
     }

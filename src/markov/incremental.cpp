@@ -25,14 +25,14 @@ linalg::Matrix resolvent_system(const linalg::Matrix& p) {
   return m;
 }
 
-/// Banded-backend G, or nullopt when the sparse resolvent ladder fails (the
-/// caller then factors densely — never a new failure mode).
+/// Banded-backend G, or nullopt when the banded solve fails (the caller
+/// then factors densely — never a new failure mode).
 std::optional<linalg::Matrix> sparse_resolvent(const linalg::Matrix& p) {
   const std::size_t n = p.rows();
   const linalg::Vector c(n, 1.0 / static_cast<double>(n));
   util::StatusOr<linalg::Matrix> g = partition::try_sparse_resolvent(
       sparse::SparseMatrix::from_dense(p), c);
-  if (g.ok() && util::all_finite(*g)) return std::move(*g);
+  if (g.ok()) return std::move(*g);
   if (obs::trace_active()) {
     obs::trace_instant("chain_cache.fallback", "markov",
                        obs::TraceArgs().str("kind", "sparse-reset"));

@@ -6,8 +6,8 @@
 
 namespace mocos::markov {
 
-/// Selection policy for the sparse chain-analysis path (CSR resolvent +
-/// block decomposition, src/sparse/ + src/partition/).
+/// Selection policy for the sparse chain-analysis path (banded resolvent +
+/// power-iteration cross-check, src/sparse/ + src/partition/).
 enum class SparseMode {
   kAuto,  // size/density heuristic decides per chain (the default)
   kOn,    // force the sparse path wherever it is defined (M >= 8)

@@ -6,9 +6,6 @@
 
 #include "src/linalg/lu.hpp"
 #include "src/linalg/norms.hpp"
-#include "src/markov/sparse_mode.hpp"
-#include "src/partition/block_solver.hpp"
-#include "src/sparse/sparse_matrix.hpp"
 #include "src/util/fault_injection.hpp"
 #include "src/linalg/guard.hpp"
 
@@ -113,18 +110,6 @@ linalg::Vector stationary_power_iteration(const TransitionMatrix& p,
 
 util::StatusOr<linalg::Vector> try_stationary_distribution(
     const TransitionMatrix& p, StationarySolver solver) {
-  // Sparse-eligible chains go through the block aggregation/disaggregation
-  // solver first; any failure (single block, decoupled blocks, slow A/D
-  // convergence) silently falls through to the dense system. The power
-  // rung is a recovery path and never dispatches sparse.
-  if (solver == StationarySolver::kDirect && sparse_path_enabled(p.matrix())) {
-    const sparse::SparseMatrix sp =
-        sparse::SparseMatrix::from_dense(p.matrix());
-    const partition::Blocks blocks = partition::structural_blocks(sp, {});
-    util::StatusOr<linalg::Vector> pi =
-        partition::try_block_stationary(sp, blocks);
-    if (pi.ok()) return pi;
-  }
   return solver == StationarySolver::kDirect ? try_direct(p) : try_power(p);
 }
 

@@ -2,23 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "src/linalg/lu.hpp"
+#include "src/linalg/guard.hpp"
 #include "src/obs/phase_timer.hpp"
 #include "src/sparse/banded_lu.hpp"
-#include "src/sparse/resolvent_solver.hpp"
-#include "src/linalg/guard.hpp"
+#include "src/sparse/power_iteration.hpp"
 
 namespace mocos::partition {
 
 namespace {
 
-/// Sherman–Morrison denominators below this are treated as a failed direct
-/// rung (the anchored system sits too close to the 𝟙cᵀ null direction).
+/// Sherman–Morrison denominators below this are treated as a failed banded
+/// solve (the anchored system sits too close to the 𝟙cᵀ null direction).
 constexpr double kAnchorDenominatorFloor = 1e-8;
 
 double inf_norm_diff(const linalg::Vector& a, const linalg::Vector& b) {
@@ -29,164 +26,6 @@ double inf_norm_diff(const linalg::Vector& a, const linalg::Vector& b) {
 }
 
 }  // namespace
-
-util::StatusOr<linalg::Vector> try_block_stationary(
-    const sparse::SparseMatrix& p, const Blocks& blocks,
-    const SparseAnalysisConfig& config, const runtime::ExecutionContext& ctx,
-    SparseSolveStats* stats) {
-  SparseSolveStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  const std::size_t n = p.rows();
-  if (n < 2 || p.rows() != p.cols() || blocks.size() != n)
-    return util::Status(util::StatusCode::kSizeMismatch,
-                        "try_block_stationary: P/partition size mismatch");
-  const std::size_t num_blocks = blocks.count();
-  stats->blocks = num_blocks;
-  stats->off_block_mass = max_off_block_row_mass(p, blocks);
-  if (num_blocks < 2)
-    return util::Status(util::StatusCode::kInvalidConfig,
-                        "try_block_stationary: partition has a single block, "
-                        "nothing to aggregate");
-
-  const auto& offsets = p.row_offsets();
-  const auto& cols = p.col_indices();
-  const auto& vals = p.values();
-
-  // Prefactor every block's (I − P_kkᵀ) once; the factors are reused by all
-  // sweeps. Blocks fan out over the context into index-addressed slots.
-  std::vector<std::optional<linalg::LuDecomposition>> block_lu(num_blocks);
-  std::vector<util::Status> factor_status(num_blocks, util::Status::ok());
-  // Block-local index of each PoI, so row scatter is O(nnz).
-  std::vector<std::size_t> local_of(n, 0);
-  for (std::size_t k = 0; k < num_blocks; ++k)
-    for (std::size_t s = 0; s < blocks.members[k].size(); ++s)
-      local_of[blocks.members[k][s]] = s;
-  runtime::parallel_for(ctx, num_blocks, [&](std::size_t k) {
-    const auto& members = blocks.members[k];
-    const std::size_t m = members.size();
-    linalg::Matrix system(m, m, 0.0);
-    for (std::size_t s = 0; s < m; ++s) system(s, s) = 1.0;
-    for (std::size_t s = 0; s < m; ++s) {
-      const std::size_t i = members[s];
-      for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-        const std::size_t j = cols[e];
-        if (blocks.block_of[j] != k) continue;
-        // (I − P_kkᵀ) in block-local indices: entry (local j, local i).
-        system(local_of[j], s) -= vals[e];
-      }
-    }
-    util::StatusOr<linalg::LuDecomposition> lu =
-        linalg::LuDecomposition::try_factor(std::move(system));
-    if (lu.ok())
-      block_lu[k] = std::move(*lu);
-    else
-      factor_status[k] = lu.status();
-  });
-  for (std::size_t k = 0; k < num_blocks; ++k) {
-    if (!factor_status[k].is_ok())
-      return util::Status(
-          util::StatusCode::kSingularMatrix,
-          "try_block_stationary: block " + std::to_string(k) +
-              " system is singular (decoupled block?): " +
-              factor_status[k].message());
-  }
-
-  linalg::Vector pi(n, 1.0 / static_cast<double>(n));
-  linalg::Vector y(n, 0.0);  // yᵀ = πᵀP, recomputed each sweep
-  for (std::size_t sweep = 1; sweep <= config.max_ad_sweeps; ++sweep) {
-    stats->ad_sweeps = sweep;
-
-    // --- Aggregation: solve the K×K coupling chain exactly. -------------
-    linalg::Vector xi(num_blocks, 0.0);
-    for (std::size_t i = 0; i < n; ++i) xi[blocks.block_of[i]] += pi[i];
-    for (std::size_t k = 0; k < num_blocks; ++k) {
-      if (!(xi[k] > 0.0) || !std::isfinite(xi[k]))
-        return util::Status(util::StatusCode::kNotErgodic,
-                            "try_block_stationary: block " +
-                                std::to_string(k) +
-                                " lost all probability mass during A/D");
-    }
-    linalg::Matrix coupling(num_blocks, num_blocks, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const double u = pi[i] / xi[blocks.block_of[i]];
-      const std::size_t k = blocks.block_of[i];
-      for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
-        coupling(k, blocks.block_of[cols[e]]) += u * vals[e];
-    }
-    // Solve the K×K coupling chain through the dense system
-    // (I − Cᵀ + 𝟙𝟙ᵀ) ξ = 𝟙 directly — calling back into the markov
-    // stationary dispatch here could re-enter the sparse path on the
-    // aggregate chain and recurse.
-    linalg::Matrix agg_system(num_blocks, num_blocks);
-    for (std::size_t k = 0; k < num_blocks; ++k)
-      for (std::size_t l = 0; l < num_blocks; ++l)
-        agg_system(k, l) = (k == l ? 1.0 : 0.0) - coupling(l, k) + 1.0;
-    util::StatusOr<linalg::Vector> xi_next = linalg::try_solve(
-        agg_system, linalg::Vector(num_blocks, 1.0));
-    if (!xi_next.ok()) return xi_next.status();
-    double xi_sum = 0.0;
-    for (std::size_t k = 0; k < num_blocks; ++k) {
-      if (!((*xi_next)[k] > 0.0) || !std::isfinite((*xi_next)[k]))
-        return util::Status(util::StatusCode::kNotErgodic,
-                            "try_block_stationary: coupling chain gave "
-                            "non-positive mass to block " + std::to_string(k));
-      xi_sum += (*xi_next)[k];
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t k = blocks.block_of[i];
-      pi[i] *= (*xi_next)[k] / (xi_sum * xi[k]);
-    }
-
-    // --- Disaggregation: block Gauss–Seidel-style refresh. ---------------
-    // π_j = Σ_{i∈B_k} π_i p_ij + b_k(j) for j ∈ B_k, with the off-block
-    // inflow b_k(j) = (πᵀP)_j − Σ_{i∈B_k} π_i p_ij frozen at the aggregated
-    // iterate; each block then solves its prefactored (I − P_kkᵀ) system.
-    p.transpose_matvec(pi, y);
-    linalg::Vector next(n, 0.0);
-    runtime::parallel_for(ctx, num_blocks, [&](std::size_t k) {
-      const auto& members = blocks.members[k];
-      const std::size_t m = members.size();
-      linalg::Vector rhs(m);
-      for (std::size_t s = 0; s < m; ++s) rhs[s] = y[members[s]];
-      for (std::size_t s = 0; s < m; ++s) {
-        const std::size_t i = members[s];
-        for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
-          const std::size_t j = cols[e];
-          if (blocks.block_of[j] != k) continue;
-          rhs[local_of[j]] -= pi[i] * vals[e];
-        }
-      }
-      const linalg::Vector x = block_lu[k]->solve(rhs);
-      for (std::size_t s = 0; s < m; ++s) next[members[s]] = x[s];
-    });
-    double mass = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Round-off can push tiny components of a weakly-visited PoI below
-      // zero; clamp before renormalizing (the residual gate still decides).
-      if (next[i] < 0.0) next[i] = 0.0;
-      mass += next[i];
-    }
-    if (!(mass > 0.0) || !std::isfinite(mass))
-      return util::Status(util::StatusCode::kNotErgodic,
-                          "try_block_stationary: disaggregation produced "
-                          "non-positive total mass");
-    for (std::size_t i = 0; i < n; ++i) pi[i] = next[i] / mass;
-
-    p.transpose_matvec(pi, y);
-    stats->ad_residual = inf_norm_diff(y, pi);
-    if (stats->ad_residual <= config.ad_tolerance) {
-      util::Status finite = util::check_finite(pi, "block stationary");
-      if (!finite.is_ok()) return finite;
-      return pi;
-    }
-  }
-  return util::Status(
-      util::StatusCode::kNotErgodic,
-      "try_block_stationary: no convergence after " +
-          std::to_string(config.max_ad_sweeps) + " sweeps (residual " +
-          std::to_string(stats->ad_residual) + ", off-block mass " +
-          std::to_string(stats->off_block_mass) + ")");
-}
 
 util::StatusOr<linalg::Matrix> try_sparse_resolvent(
     const sparse::SparseMatrix& p, const linalg::Vector& c,
@@ -200,84 +39,61 @@ util::StatusOr<linalg::Matrix> try_sparse_resolvent(
                         "try_sparse_resolvent: need square P (n >= 2) and a "
                         "matching reference vector");
 
-  // --- Rung 1: RCM + anchored banded LU + Sherman–Morrison. --------------
   const std::vector<std::size_t> perm = bandwidth_ordering(p);
   const std::size_t bandwidth = pattern_bandwidth(p, perm);
   stats->bandwidth = bandwidth;
   const auto cap = static_cast<std::size_t>(
       config.bandwidth_cap_fraction * static_cast<double>(n));
-  if (bandwidth <= cap) {
-    std::vector<std::size_t> inv(n, 0);
-    for (std::size_t a = 0; a < n; ++a) inv[perm[a]] = a;
-    std::vector<sparse::Triplet> entries;
-    entries.reserve(p.nnz());
-    const auto& offsets = p.row_offsets();
-    const auto& cols = p.col_indices();
-    const auto& vals = p.values();
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
-        entries.push_back({inv[i], inv[cols[e]], vals[e]});
-    const sparse::SparseMatrix permuted =
-        sparse::SparseMatrix::from_triplets(n, n, entries);
-    linalg::Vector c_perm(n);
-    for (std::size_t a = 0; a < n; ++a) c_perm[a] = c[perm[a]];
+  if (bandwidth > cap)
+    return util::Status(util::StatusCode::kInvalidConfig,
+                        "try_sparse_resolvent: bandwidth " +
+                            std::to_string(bandwidth) + " exceeds the cap " +
+                            std::to_string(cap));
 
-    util::StatusOr<sparse::BandedResolventLu> lu =
-        sparse::BandedResolventLu::try_factor(permuted, c_perm, bandwidth);
-    if (lu.ok()) {
-      // G = B⁻¹ − w(cᵀB⁻¹·)/denom with w = B⁻¹(𝟙 − e_{n−1}) and
-      // denom = 1 + cᵀw; per column j, G e_j = g − w(cᵀg)/denom.
-      linalg::Vector w(n, 1.0);
-      w[n - 1] = 0.0;
-      lu->solve_inplace(w);
-      double denom = 1.0;
-      for (std::size_t i = 0; i < n; ++i) denom += c_perm[i] * w[i];
-      if (std::isfinite(denom) && std::abs(denom) > kAnchorDenominatorFloor) {
-        linalg::Matrix g_perm(n, n, 0.0);
-        runtime::parallel_for(ctx, n, [&](std::size_t j) {
-          linalg::Vector col(n, 0.0);
-          col[j] = 1.0;
-          lu->solve_inplace(col);
-          double cg = 0.0;
-          for (std::size_t i = 0; i < n; ++i) cg += c_perm[i] * col[i];
-          const double scale = cg / denom;
-          for (std::size_t i = 0; i < n; ++i)
-            g_perm(i, j) = col[i] - scale * w[i];
-        });
-        util::Status finite = util::check_finite(g_perm, "banded resolvent");
-        if (finite.is_ok()) {
-          linalg::Matrix g(n, n);
-          for (std::size_t a = 0; a < n; ++a)
-            for (std::size_t b = 0; b < n; ++b)
-              g(perm[a], perm[b]) = g_perm(a, b);
-          stats->used_banded = true;
-          return g;
-        }
-      }
-    }
-    // Factorization or correction failed: demote to the iterative rung.
-  }
+  std::vector<std::size_t> inv(n, 0);
+  for (std::size_t a = 0; a < n; ++a) inv[perm[a]] = a;
+  std::vector<sparse::Triplet> entries;
+  entries.reserve(p.nnz());
+  const auto& offsets = p.row_offsets();
+  const auto& cols = p.col_indices();
+  const auto& vals = p.values();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
+      entries.push_back({inv[i], inv[cols[e]], vals[e]});
+  const sparse::SparseMatrix permuted =
+      sparse::SparseMatrix::from_triplets(n, n, entries);
+  linalg::Vector c_perm(n);
+  for (std::size_t a = 0; a < n; ++a) c_perm[a] = c[perm[a]];
 
-  // --- Rung 2: per-column BiCGSTAB on the full rank-one operator. --------
-  sparse::ResolventOperator op{&p, linalg::Vector(n, 1.0), c};
-  linalg::Matrix g(n, n, 0.0);
-  std::vector<util::Status> column_status(n, util::Status::ok());
+  util::StatusOr<sparse::BandedResolventLu> lu =
+      sparse::BandedResolventLu::try_factor(permuted, c_perm, bandwidth);
+  if (!lu.ok()) return lu.status();
+  // G = B⁻¹ − w(cᵀB⁻¹·)/denom with w = B⁻¹(𝟙 − e_{n−1}) and
+  // denom = 1 + cᵀw; per column j, G e_j = g − w(cᵀg)/denom.
+  linalg::Vector w(n, 1.0);
+  w[n - 1] = 0.0;
+  lu->solve_inplace(w);
+  double denom = 1.0;
+  for (std::size_t i = 0; i < n; ++i) denom += c_perm[i] * w[i];
+  if (!std::isfinite(denom) || !(std::abs(denom) > kAnchorDenominatorFloor))
+    return util::Status(util::StatusCode::kSingularMatrix,
+                        "try_sparse_resolvent: Sherman-Morrison denominator " +
+                            std::to_string(denom));
+  linalg::Matrix g_perm(n, n, 0.0);
   runtime::parallel_for(ctx, n, [&](std::size_t j) {
-    linalg::Vector e(n, 0.0);
-    e[j] = 1.0;
-    // G e_j solves (I − P + 𝟙cᵀ) x = e_j.
-    util::StatusOr<linalg::Vector> x = sparse::try_solve_resolvent(op, e);
-    if (!x.ok()) {
-      column_status[j] = x.status();
-      return;
-    }
-    for (std::size_t i = 0; i < n; ++i) g(i, j) = (*x)[i];
+    linalg::Vector col(n, 0.0);
+    col[j] = 1.0;
+    lu->solve_inplace(col);
+    double cg = 0.0;
+    for (std::size_t i = 0; i < n; ++i) cg += c_perm[i] * col[i];
+    const double scale = cg / denom;
+    for (std::size_t i = 0; i < n; ++i) g_perm(i, j) = col[i] - scale * w[i];
   });
-  for (std::size_t j = 0; j < n; ++j)
-    if (!column_status[j].is_ok()) return column_status[j];
-  util::Status finite = util::check_finite(g, "iterative resolvent");
+  util::Status finite = util::check_finite(g_perm, "banded resolvent");
   if (!finite.is_ok()) return finite;
-  stats->used_bicgstab = true;
+  linalg::Matrix g(n, n);
+  for (std::size_t a = 0; a < n; ++a)
+    for (std::size_t b = 0; b < n; ++b) g(perm[a], perm[b]) = g_perm(a, b);
   return g;
 }
 
@@ -291,20 +107,12 @@ util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
   const sparse::SparseMatrix sp = sparse::SparseMatrix::from_dense(p.matrix());
   const linalg::Vector c(n, 1.0 / static_cast<double>(n));
 
-  // Independent stationary estimate: block A/D first, sparse power
-  // iteration as its recovery rung. Either way the estimate comes from a
-  // different algorithm than the resolvent, so the agreement gate below is
-  // a genuine cross-check, not a tautology.
-  const Blocks blocks = structural_blocks(sp, config.partition);
+  // Independent stationary estimate: a different algorithm than the
+  // resolvent, so the agreement gate below is a genuine cross-check, not a
+  // tautology.
   util::StatusOr<linalg::Vector> pi_check = [&] {
-    obs::ScopedPhase phase("sparse.block_pi");
-    util::StatusOr<linalg::Vector> est =
-        try_block_stationary(sp, blocks, config, ctx, stats);
-    if (!est.ok()) {
-      est = sparse::try_stationary_power_sparse(sp);
-      if (est.ok()) stats->used_power_crosscheck = true;
-    }
-    return est;
+    obs::ScopedPhase phase("sparse.power_pi");
+    return sparse::try_stationary_power_sparse(sp);
   }();
   if (!pi_check.ok()) return pi_check.status();
 
@@ -322,7 +130,7 @@ util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
   if (stats->pi_gap > config.pi_agreement_tol)
     return util::Status(
         util::StatusCode::kNotErgodic,
-        "try_sparse_analyze_chain: resolvent and block stationary "
+        "try_sparse_analyze_chain: resolvent and power-iteration stationary "
         "estimates disagree (gap " +
             std::to_string(stats->pi_gap) + " > " +
             std::to_string(config.pi_agreement_tol) + ")");

@@ -4,71 +4,41 @@
 
 #include "src/linalg/matrix.hpp"
 #include "src/markov/fundamental.hpp"
-#include "src/partition/spatial_partition.hpp"
+#include "src/partition/bandwidth_ordering.hpp"
 #include "src/runtime/execution_context.hpp"
 #include "src/sparse/sparse_matrix.hpp"
 #include "src/util/status.hpp"
 
 namespace mocos::partition {
 
-/// Tuning knobs for the sparse chain analysis (block stationary solve +
-/// sparse resolvent ladder). Defaults satisfy the acceptance contract:
-/// π/Z agreement with the dense pipeline to <= 1e-8 on weakly-coupled maps.
+/// Tuning knobs for the sparse chain analysis (banded resolvent + power
+/// iteration cross-check). Defaults satisfy the acceptance contract: π/Z
+/// agreement with the dense pipeline to <= 1e-8.
 struct SparseAnalysisConfig {
-  PartitionConfig partition;
-  /// Aggregation/disaggregation convergence gate on ‖πP − π‖∞.
-  double ad_tolerance = 1e-12;
-  /// A/D sweeps before giving up (kNotErgodic → dense fallback).
-  std::size_t max_ad_sweeps = 200;
   /// The two independent stationary estimates (resolvent column sums vs
-  /// block A/D) must agree to this ∞-norm gap or the whole sparse analysis
-  /// is rejected in favor of the dense pipeline.
+  /// sparse power iteration) must agree to this ∞-norm gap or the whole
+  /// sparse analysis is rejected in favor of the dense pipeline.
   double pi_agreement_tol = 1e-8;
-  /// The banded direct rung only runs when the RCM bandwidth b satisfies
-  /// b <= n * bandwidth_cap_fraction; beyond that O(n·b²) loses to the
-  /// iterative rung.
+  /// The banded solve only runs when the RCM bandwidth b satisfies
+  /// b <= n * bandwidth_cap_fraction; beyond that O(n·b²) is no cheaper
+  /// than the dense O(n³) factorization the caller falls back to.
   double bandwidth_cap_fraction = 1.0 / 3.0;
 };
 
 /// Diagnostics of one sparse analysis, filled in best-effort even on
 /// failure (tests and the metrics exporter read these).
 struct SparseSolveStats {
-  std::size_t blocks = 0;        // partition size used for A/D
-  std::size_t bandwidth = 0;     // RCM bandwidth of the pattern
-  std::size_t ad_sweeps = 0;     // A/D sweeps executed
-  double ad_residual = 0.0;      // final ‖πP − π‖∞ of the A/D iterate
-  double off_block_mass = 0.0;   // max_off_block_row_mass of the partition
-  double pi_gap = 0.0;           // ‖π_G − π_AD‖∞ cross-check gap
-  bool used_banded = false;      // direct banded-LU rung produced G
-  bool used_bicgstab = false;    // iterative rung produced G
-  bool used_power_crosscheck = false;  // A/D failed; power iteration stood in
+  std::size_t bandwidth = 0;  // RCM bandwidth of the pattern
+  double pi_gap = 0.0;        // ‖π_G − π_power‖∞ cross-check gap
 };
 
-/// Koury–McAllister–Stewart iterative aggregation/disaggregation for the
-/// stationary distribution of a block-partitioned sparse chain. Each sweep
-/// solves the K×K coupling chain exactly, then refreshes every block's
-/// conditional distribution through its prefactored (I − P_kkᵀ) system;
-/// block solves fan out over `ctx` (bit-identical for any --jobs). Converges
-/// fast exactly when the partition cuts only weak coupling. Failure modes:
-///  - kInvalidConfig: fewer than two blocks (nothing to aggregate);
-///  - kSingularMatrix: a decoupled block made I − P_kk singular;
-///  - kNotErgodic: no convergence within max_ad_sweeps, or mass went
-///    negative/non-finite. Callers fall back to the dense pipeline.
-[[nodiscard]] util::StatusOr<linalg::Vector> try_block_stationary(
-    const sparse::SparseMatrix& p, const Blocks& blocks,
-    const SparseAnalysisConfig& config = {},
-    const runtime::ExecutionContext& ctx = {},
-    SparseSolveStats* stats = nullptr);
-
-/// Sparse resolvent G = (I − P + 𝟙cᵀ)⁻¹ via the ladder:
-///  1. RCM reordering + banded LU of the anchored system B = I − P + e_{n−1}cᵀ
-///     followed by one Sherman–Morrison correction (skipped when the
-///     bandwidth exceeds the cap, demoted on factorization failure);
-///  2. per-column BiCGSTAB with Jacobi preconditioning on the full
-///     rank-one-corrected operator.
-/// Columns fan out over `ctx` into index-addressed slots (bit-identical for
-/// any --jobs). A non-ok status means both rungs failed and the caller
-/// should run the dense factorization.
+/// Sparse resolvent G = (I − P + 𝟙cᵀ)⁻¹: RCM reordering, banded LU of the
+/// anchored system B = I − P + e_{n−1}cᵀ, then one Sherman–Morrison
+/// correction. Columns fan out over `ctx` into index-addressed slots
+/// (bit-identical for any --jobs). Returns a non-ok status — and the caller
+/// factors the resolvent densely — when the bandwidth exceeds the cap
+/// (kInvalidConfig), the factorization or the correction breaks down
+/// (kSingularMatrix), or G is not finite (kNonFiniteValue).
 [[nodiscard]] util::StatusOr<linalg::Matrix> try_sparse_resolvent(
     const sparse::SparseMatrix& p, const linalg::Vector& c,
     const SparseAnalysisConfig& config = {},
@@ -78,10 +48,10 @@ struct SparseSolveStats {
 /// Sparsity-aware replacement for markov::try_analyze_chain: computes G
 /// through try_sparse_resolvent, derives {π, Z} from it with
 /// markov::analysis_from_resolvent (the derivation ChainSolveCache uses),
-/// and cross-checks π against an independent block A/D estimate (sparse
-/// power iteration as its recovery rung) to config.pi_agreement_tol. Any
-/// failure — including a cross-check disagreement — returns a Status so the
-/// caller can fall back to the dense pipeline.
+/// and cross-checks π against an independent sparse power iteration to
+/// config.pi_agreement_tol. Any failure — a non-converging power iteration,
+/// a failed resolvent or a cross-check disagreement — returns a Status so
+/// the caller can fall back to the dense pipeline.
 [[nodiscard]] util::StatusOr<markov::ChainAnalysis> try_sparse_analyze_chain(
     const markov::TransitionMatrix& p, const SparseAnalysisConfig& config = {},
     const runtime::ExecutionContext& ctx = {},

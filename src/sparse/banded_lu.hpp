@@ -22,7 +22,7 @@ namespace mocos::sparse {
 /// Pivoting: none — I − P is irreducibly weakly diagonally dominant, for
 /// which elimination in natural order is stable (GTH-style); a vanishing
 /// pivot is reported as kSingularMatrix instead of being permuted around,
-/// and the caller drops to the iterative or dense rung.
+/// and the caller factors the resolvent densely instead.
 ///
 /// Costs: O(n·b²) factor, O(n·b) per solve — against O(n³)/O(n²) dense.
 class BandedResolventLu {

@@ -131,10 +131,10 @@ TEST(Metamorphic, ChainAnalysisRespectsPermutationSimilarity) {
 
 TEST(Metamorphic, PoiRelabelingInvariantAcrossSparseBlockBoundaries) {
   // Sparse-path variant of the relabeling relation: a support-restricted
-  // city problem analyzed through the block solver (sparse mode forced on)
-  // must report the same U / ΔC / Ē for any PoI relabeling — in particular
-  // one that scatters spatially-adjacent PoIs into different blocks, which
-  // catches any index confusion at the A/D stitching boundaries.
+  // city problem analyzed through the banded resolvent (sparse mode forced
+  // on) must report the same U / ΔC / Ē for any PoI relabeling — in
+  // particular one that scatters spatially-adjacent PoIs far apart, which
+  // catches any index confusion in the RCM permutation and its inverse.
   markov::force_sparse_mode(markov::SparseMode::kOn);
 
   geometry::CityConfig cfg;

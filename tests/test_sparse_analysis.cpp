@@ -12,6 +12,7 @@
 #include "src/markov/passage_times.hpp"
 #include "src/markov/sparse_mode.hpp"
 #include "src/markov/stationary.hpp"
+#include "src/obs/metrics.hpp"
 #include "src/util/rng.hpp"
 #include "tests/helpers.hpp"
 
@@ -95,20 +96,6 @@ TEST(CityTopology, RadiusNeighborsMatchBruteForce) {
   }
 }
 
-TEST(BlockStationary, MatchesDenseOnCityChain) {
-  const auto p = city_chain(196, 1);
-  const auto sp = sparse::SparseMatrix::from_dense(p.matrix());
-  const auto blocks = partition::structural_blocks(sp, {});
-  partition::SparseSolveStats stats;
-  const auto pi = partition::try_block_stationary(sp, blocks, {}, {}, &stats);
-  ASSERT_TRUE(pi.ok()) << pi.status().message();
-  const linalg::Vector ref = markov::stationary_distribution(p);
-  EXPECT_LE(max_abs_gap(*pi, ref), 1e-10);
-  EXPECT_GE(stats.blocks, 2u);
-  EXPECT_GT(stats.ad_sweeps, 0u);
-  EXPECT_LE(stats.ad_residual, 1e-12);
-}
-
 TEST(SparseAnalysis, PiAndPassageTimesMatchDense) {
   const auto p = city_chain(196, 2);
   partition::SparseSolveStats stats;
@@ -124,7 +111,60 @@ TEST(SparseAnalysis, PiAndPassageTimesMatchDense) {
             1e-8);
   EXPECT_LE(max_rel_gap(sparse_chain->z, dense.z), 1e-8);
   EXPECT_LE(stats.pi_gap, 1e-8);
-  EXPECT_TRUE(stats.used_banded || stats.used_bicgstab);
+  // The banded resolvent ran: the RCM bandwidth is within the n/3 cap.
+  EXPECT_GT(stats.bandwidth, 0u);
+  EXPECT_LE(stats.bandwidth, 196u / 3);
+}
+
+TEST(SparseAnalysis, CrossCheckGateRejectsAnyPiDisagreement) {
+  // With a zero tolerance the two independent π estimates (resolvent column
+  // sums vs sparse power iteration) cannot agree to the last bit, so the
+  // gate must refuse the analysis and report the gap it measured.
+  const auto p = city_chain(196, 2);
+  partition::SparseAnalysisConfig config;
+  config.pi_agreement_tol = 0.0;
+  partition::SparseSolveStats stats;
+  const auto chain = partition::try_sparse_analyze_chain(p, config, {}, &stats);
+  ASSERT_FALSE(chain.ok());
+  EXPECT_EQ(chain.status().code(), util::StatusCode::kNotErgodic);
+  EXPECT_GT(stats.pi_gap, 0.0);
+  EXPECT_LE(stats.pi_gap, 1e-8);
+}
+
+TEST(SparseAnalysis, PeriodicChainFallsBackToTheDensePipeline) {
+  // A reflecting fair walk on a path is irreducible but periodic: the power
+  // iteration cross-check never reaches a fixed point, so the sparse
+  // analysis is refused and try_analyze_chain answers from the dense
+  // pipeline — bit for bit what the dense-only mode computes.
+  const std::size_t n = 200;
+  linalg::Matrix m(n, n);
+  m(0, 1) = 1.0;
+  m(n - 1, n - 2) = 1.0;
+  for (std::size_t i = 1; i + 1 < n; ++i) {
+    m(i, i - 1) = 0.5;
+    m(i, i + 1) = 0.5;
+  }
+  const markov::TransitionMatrix p(m);
+  ASSERT_TRUE(markov::sparse_path_enabled(p.matrix()));
+  EXPECT_FALSE(partition::try_sparse_analyze_chain(p).ok());
+
+  obs::MetricsRegistry metrics;
+  util::StatusOr<markov::ChainAnalysis> chain = [&] {
+    obs::ScopedMetrics install(&metrics);
+    return markov::try_analyze_chain(p);
+  }();
+  ASSERT_TRUE(chain.ok()) << chain.status().message();
+  const obs::MetricsSnapshot snap = metrics.snapshot();
+  EXPECT_EQ(snap.counter_value("markov.sparse.fallbacks"), 1u);
+  EXPECT_EQ(snap.counter_value("markov.sparse.solves"), 0u);
+
+  ScopedSparseMode off(markov::SparseMode::kOff);
+  const auto dense = markov::try_analyze_chain(p);
+  ASSERT_TRUE(dense.ok());
+  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(chain->pi[i], dense->pi[i]);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      ASSERT_EQ(chain->z(i, j), dense->z(i, j)) << i << "," << j;
 }
 
 TEST(SparseAnalysis, BitIdenticalForAnyJobCount) {
@@ -141,9 +181,8 @@ TEST(SparseAnalysis, BitIdenticalForAnyJobCount) {
 }
 
 TEST(SparseAnalysis, FullyCoupledChainStillMatchesDense) {
-  // A dense random chain has no weak coupling to cut: the block solver falls
-  // back internally (power-iteration cross-check) or the dispatcher falls
-  // through to dense — either way the answer must match the dense pipeline.
+  // A dense random chain has no band to exploit: the dispatcher falls
+  // through to dense, and the answer must match the dense pipeline.
   ScopedSparseMode forced(markov::SparseMode::kOn);
   util::Rng rng(31);
   const auto p = test::random_positive_chain(24, rng);
@@ -154,6 +193,20 @@ TEST(SparseAnalysis, FullyCoupledChainStillMatchesDense) {
   ASSERT_TRUE(dense.ok());
   EXPECT_LE(max_abs_gap(chain->pi, dense->pi), 1e-8);
   EXPECT_LE(max_rel_gap(passage_times(*chain), passage_times(*dense)), 1e-8);
+
+  // The RCM bandwidth of a fully coupled chain exceeds the n/3 cap, so the
+  // banded resolvent refuses and the solver cache factors densely.
+  partition::SparseSolveStats stats;
+  const auto g = partition::try_sparse_resolvent(
+      sparse::SparseMatrix::from_dense(p.matrix()),
+      linalg::Vector(24, 1.0 / 24.0), {}, {}, &stats);
+  EXPECT_FALSE(g.ok());
+  EXPECT_GT(stats.bandwidth, 24u / 3);
+  markov::force_sparse_mode(markov::SparseMode::kOn);
+  markov::ChainSolveCache cache;
+  ASSERT_TRUE(cache.reset(p).is_ok());
+  EXPECT_EQ(cache.stats().full_solves, 1u);
+  EXPECT_EQ(cache.stats().sparse_full_solves, 0u);
 }
 
 TEST(SparseMode, AutoGateRespectsSizeAndDensity) {

@@ -1,11 +1,10 @@
-#include "src/sparse/resolvent_solver.hpp"
+#include "src/sparse/power_iteration.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "src/linalg/lu.hpp"
-#include "src/linalg/norms.hpp"
 #include "src/markov/stationary.hpp"
 #include "src/sparse/banded_lu.hpp"
 #include "src/util/rng.hpp"
@@ -26,101 +25,6 @@ markov::TransitionMatrix ring_chain(std::size_t n) {
     m(i, (i + 2) % n) = 0.1;
   }
   return markov::TransitionMatrix(std::move(m));
-}
-
-linalg::Matrix dense_resolvent_system(const linalg::Matrix& p,
-                                      const linalg::Vector& u,
-                                      const linalg::Vector& c) {
-  const std::size_t n = p.rows();
-  linalg::Matrix a = linalg::Matrix::identity(n) - p;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) a(i, j) += u[i] * c[j];
-  return a;
-}
-
-TEST(ResolventOperator, ApplyMatchesDenseSystem) {
-  const markov::TransitionMatrix p = ring_chain(13);
-  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
-  const std::size_t n = 13;
-  linalg::Vector u(n, 1.0), c(n, 1.0 / static_cast<double>(n));
-  const ResolventOperator op{&sp, u, c};
-  const linalg::Matrix a = dense_resolvent_system(p.matrix(), u, c);
-
-  util::Rng rng(5);
-  linalg::Vector x(n);
-  for (double& v : x) v = rng.uniform(-1.0, 1.0);
-  linalg::Vector y(n), yt(n);
-  op.apply(x, y);
-  op.apply_transpose(x, yt);
-  for (std::size_t i = 0; i < n; ++i) {
-    double dense = 0.0, dense_t = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      dense += a(i, j) * x[j];
-      dense_t += a(j, i) * x[j];
-    }
-    EXPECT_NEAR(y[i], dense, 1e-13);
-    EXPECT_NEAR(yt[i], dense_t, 1e-13);
-  }
-  const linalg::Vector d = op.diagonal();
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(d[i], a(i, i), 1e-15);
-}
-
-TEST(ResolventSolver, BicgstabMatchesDirectSolve) {
-  const std::size_t n = 24;
-  const markov::TransitionMatrix p = ring_chain(n);
-  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
-  linalg::Vector u(n, 1.0), c(n, 1.0 / static_cast<double>(n));
-  const ResolventOperator op{&sp, u, c};
-  const linalg::Matrix a = dense_resolvent_system(p.matrix(), u, c);
-
-  util::Rng rng(17);
-  for (int t = 0; t < 3; ++t) {
-    linalg::Vector b(n);
-    for (double& v : b) v = rng.uniform(-1.0, 1.0);
-    SolveDiagnostics diag;
-    const auto x = try_solve_resolvent(op, b, {}, &diag);
-    ASSERT_TRUE(x.ok()) << x.status().message();
-    EXPECT_TRUE(diag.converged);
-    const auto ref = linalg::try_solve(a, b);
-    ASSERT_TRUE(ref.ok());
-    for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR((*x)[i], (*ref)[i], 1e-9);
-  }
-}
-
-TEST(ResolventSolver, TransposeSolveMatchesDense) {
-  const std::size_t n = 16;
-  const markov::TransitionMatrix p = ring_chain(n);
-  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
-  linalg::Vector u(n, 1.0), c(n, 1.0 / static_cast<double>(n));
-  const ResolventOperator op{&sp, u, c};
-  linalg::Matrix a = dense_resolvent_system(p.matrix(), u, c);
-  // Transpose the dense system for the reference solve.
-  linalg::Matrix at(n, n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) at(i, j) = a(j, i);
-
-  util::Rng rng(29);
-  linalg::Vector b(n);
-  for (double& v : b) v = rng.uniform(-1.0, 1.0);
-  const auto x = try_solve_resolvent(op, b, {}, nullptr, /*transpose=*/true);
-  ASSERT_TRUE(x.ok()) << x.status().message();
-  const auto ref = linalg::try_solve(at, b);
-  ASSERT_TRUE(ref.ok());
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR((*x)[i], (*ref)[i], 1e-9);
-}
-
-TEST(ResolventSolver, ReportsDeterministicResults) {
-  const std::size_t n = 20;
-  const markov::TransitionMatrix p = ring_chain(n);
-  const SparseMatrix sp = SparseMatrix::from_dense(p.matrix());
-  linalg::Vector u(n, 1.0), c(n, 1.0 / static_cast<double>(n));
-  const ResolventOperator op{&sp, u, c};
-  linalg::Vector b(n, 0.0);
-  b[3] = 1.0;
-  const auto x1 = try_solve_resolvent(op, b);
-  const auto x2 = try_solve_resolvent(op, b);
-  ASSERT_TRUE(x1.ok() && x2.ok());
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ((*x1)[i], (*x2)[i]);
 }
 
 TEST(StationaryPowerSparse, MatchesDenseStationary) {

@@ -62,8 +62,9 @@ Layering contract (PR 8): modules under src/ form a DAG (DESIGN.md §13
 holds the normative table; MODULE_DEPS below mirrors it). Two documented
 mutually-visible groups are the only sanctioned back-edges: the {util, obs}
 foundation (locks need annotations, fault injection needs metrics) and the
-{markov, sparse, partition} solver ladder (the rungs fall back into each
-other). File-level cycles are banned everywhere, including inside those
+{markov, sparse, partition} sparse chain solve (markov dispatches into the
+banded resolvent, which builds its ChainAnalysis from markov's
+derivation). File-level cycles are banned everywhere, including inside those
 groups:
 
   layer-violation  a `#include "src/..."` edge the module DAG does not
@@ -130,10 +131,9 @@ SOURCE_EXTENSIONS = (".cpp", ".hpp", ".h", ".cc", ".hh")
 # byte-identical at any --jobs count; its deadline/watchdog clock sites
 # carry explicit det-time suppressions (server.cpp documents why timing
 # may steer *scheduling* there but never response bytes).
-# src/sparse/ and src/partition/ are on the list because the resolvent
-# ladder fans per-column solves and per-block refreshes out over
-# runtime::parallel_for under the same bit-identical-for-any---jobs
-# contract as the dense pipeline.
+# src/sparse/ and src/partition/ are on the list because the banded
+# resolvent fans its per-column solves out over runtime::parallel_for under
+# the same bit-identical-for-any---jobs contract as the dense pipeline.
 DETERMINISM_SCOPE = ("src/runtime/", "src/sim/", "src/descent/", "src/multi/",
                      "src/markov/incremental", "src/obs/", "src/serve/",
                      "src/sparse/", "src/partition/")
@@ -144,9 +144,10 @@ DETERMINISM_SCOPE = ("src/runtime/", "src/sim/", "src/descent/", "src/multi/",
 # are held to the same try_*-only contract. The serve layer's failure-isolation
 # promise (a numerical fault costs one structured error response, never the
 # process) only holds if it, too, never touches an unguarded solver. The
-# sparse/partition ladder exists to *fall back* on numerical failure
-# (banded → BiCGSTAB → dense, A/D → power → dense), which is only possible
-# when every rung reports through Status instead of throwing.
+# sparse analysis exists to *fall back* on numerical failure (a refused
+# banded solve or a non-converging power-iteration cross-check hands the
+# chain to the dense pipeline), which is only possible when every step
+# reports through Status instead of throwing.
 RAW_SOLVER_SCOPE = ("src/descent/", "src/markov/incremental", "src/serve/",
                     "src/sparse/", "src/partition/")
 
@@ -155,9 +156,10 @@ RAW_SOLVER_SCOPE = ("src/descent/", "src/markov/incremental", "src/serve/",
 # are always allowed and not listed. Two mutually-visible groups are
 # deliberate: {util, obs} (util's lock wrappers are what obs locks with;
 # util's fault injection reports through obs metrics) and
-# {markov, sparse, partition} (the solver ladder's rungs fall back into each
-# other). Mutual *module* visibility never licenses a file-level include
-# cycle — layer-cycle checks those separately.
+# {markov, sparse, partition} (markov dispatches into the banded resolvent,
+# which derives its ChainAnalysis through markov). Mutual *module*
+# visibility never licenses a file-level include cycle — layer-cycle checks
+# those separately.
 MODULE_DEPS = {
     "util": {"obs"},
     "obs": {"util"},
@@ -167,8 +169,7 @@ MODULE_DEPS = {
     "sensing": {"geometry", "linalg", "util"},
     "sparse": {"linalg", "markov", "partition", "util"},
     "markov": {"linalg", "obs", "partition", "sparse", "util"},
-    "partition": {"geometry", "linalg", "markov", "obs", "runtime", "sparse",
-                  "util"},
+    "partition": {"linalg", "markov", "obs", "runtime", "sparse", "util"},
     "cost": {"linalg", "markov", "obs", "sensing", "util"},
     "descent": {"cost", "linalg", "markov", "obs", "runtime", "util"},
     "sim": {"markov", "runtime", "sensing", "util"},
