@@ -29,17 +29,24 @@ ExposureTerm::ExposureTerm(std::size_t n, double beta)
 
 linalg::Vector ExposureTerm::compute_mean_exposures(
     const markov::ChainAnalysis& chain) {
+  // h_i = Σ_{j≠i} p_ij (z_ii − z_ji), using R_ji = (z_ii − z_ji)/π_i for
+  // j ≠ i. j runs outermost so that row j of Z is read contiguously; each
+  // h_i sums over ascending j, the order the recorded results were made in.
   const std::size_t n = chain.p.size();
+  const double* p = chain.p.matrix().data();
+  const double* z = chain.z.data();
+  linalg::Vector z_diag(n);
+  for (std::size_t i = 0; i < n; ++i) z_diag[i] = z[i * n + i];
   linalg::Vector e(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double h = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      // R_ji = (z_ii - z_ji)/π_i for j != i.
-      h += chain.p(i, j) * (chain.z(i, i) - chain.z(j, i));
+  for (std::size_t j = 0; j < n; ++j) {
+    const double* z_row = z + j * n;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i == j) continue;
+      e[i] += p[i * n + j] * (z_diag[i] - z_row[i]);
     }
-    e[i] = h / (chain.pi[i] * hold_probability(chain, i));
   }
+  for (std::size_t i = 0; i < n; ++i)
+    e[i] /= chain.pi[i] * hold_probability(chain, i);
   return e;
 }
 

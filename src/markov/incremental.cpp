@@ -59,18 +59,25 @@ util::Status ChainSolveCache::reset(const TransitionMatrix& p) {
   if (!input.is_ok()) return input;
 
   std::optional<linalg::Matrix> g;
-  if (sparse_path_enabled(m)) g = sparse_resolvent(m);
-  const bool sparse_built = g.has_value();
-  if (!sparse_built) {
-    util::StatusOr<linalg::LuDecomposition> lu =
-        linalg::LuDecomposition::try_factor(resolvent_system(m));
-    if (!lu.ok()) return lu.status();
-    g = lu->inverse();
-    util::Status finite = util::check_finite(*g, "resolvent G");
-    if (!finite.is_ok()) return finite;
+  bool sparse_built = false;
+  {
+    obs::ScopedPhase resolvent_phase("chain.resolvent");
+    if (sparse_path_enabled(m)) g = sparse_resolvent(m);
+    sparse_built = g.has_value();
+    if (!sparse_built) {
+      util::StatusOr<linalg::LuDecomposition> lu =
+          linalg::LuDecomposition::try_factor(resolvent_system(m));
+      if (!lu.ok()) return lu.status();
+      g = lu->inverse();
+      util::Status finite = util::check_finite(*g, "resolvent G");
+      if (!finite.is_ok()) return finite;
+    }
   }
 
-  util::StatusOr<ChainAnalysis> chain = analysis_from_resolvent(p, *g);
+  util::StatusOr<ChainAnalysis> chain = [&] {
+    obs::ScopedPhase derive_phase("chain.derive");
+    return analysis_from_resolvent(p, *g);
+  }();
   if (!chain.ok()) return chain.status();
   analysis_ = std::move(*chain);
   ++stats_.full_solves;

@@ -39,35 +39,40 @@ util::StatusOr<linalg::Matrix> try_sparse_resolvent(
                         "try_sparse_resolvent: need square P (n >= 2) and a "
                         "matching reference vector");
 
-  const std::vector<std::size_t> perm = bandwidth_ordering(p);
-  const std::size_t bandwidth = pattern_bandwidth(p, perm);
-  stats->bandwidth = bandwidth;
-  const auto cap = static_cast<std::size_t>(
-      config.bandwidth_cap_fraction * static_cast<double>(n));
-  if (bandwidth > cap)
-    return util::Status(util::StatusCode::kInvalidConfig,
-                        "try_sparse_resolvent: bandwidth " +
-                            std::to_string(bandwidth) + " exceeds the cap " +
-                            std::to_string(cap));
-
+  // RCM ordering, the bandwidth cap, and the banded LU of the permuted B.
   std::vector<std::size_t> inv(n, 0);
-  for (std::size_t a = 0; a < n; ++a) inv[perm[a]] = a;
-  std::vector<sparse::Triplet> entries;
-  entries.reserve(p.nnz());
-  const auto& offsets = p.row_offsets();
-  const auto& cols = p.col_indices();
-  const auto& vals = p.values();
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
-      entries.push_back({inv[i], inv[cols[e]], vals[e]});
-  const sparse::SparseMatrix permuted =
-      sparse::SparseMatrix::from_triplets(n, n, entries);
   linalg::Vector c_perm(n);
-  for (std::size_t a = 0; a < n; ++a) c_perm[a] = c[perm[a]];
-
   util::StatusOr<sparse::BandedResolventLu> lu =
-      sparse::BandedResolventLu::try_factor(permuted, c_perm, bandwidth);
+      [&]() -> util::StatusOr<sparse::BandedResolventLu> {
+    obs::ScopedPhase phase("sparse.factor");
+    const std::vector<std::size_t> perm = bandwidth_ordering(p);
+    const std::size_t bandwidth = pattern_bandwidth(p, perm);
+    stats->bandwidth = bandwidth;
+    const auto cap = static_cast<std::size_t>(
+        config.bandwidth_cap_fraction * static_cast<double>(n));
+    if (bandwidth > cap)
+      return util::Status(util::StatusCode::kInvalidConfig,
+                          "try_sparse_resolvent: bandwidth " +
+                              std::to_string(bandwidth) + " exceeds the cap " +
+                              std::to_string(cap));
+    for (std::size_t a = 0; a < n; ++a) {
+      inv[perm[a]] = a;
+      c_perm[a] = c[perm[a]];
+    }
+    std::vector<sparse::Triplet> entries;
+    entries.reserve(p.nnz());
+    const auto& offsets = p.row_offsets();
+    const auto& cols = p.col_indices();
+    const auto& vals = p.values();
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t e = offsets[i]; e < offsets[i + 1]; ++e)
+        entries.push_back({inv[i], inv[cols[e]], vals[e]});
+    return sparse::BandedResolventLu::try_factor(
+        sparse::SparseMatrix::from_triplets(n, n, entries), c_perm, bandwidth);
+  }();
   if (!lu.ok()) return lu.status();
+
+  obs::ScopedPhase columns_phase("sparse.columns");
   // G = B⁻¹ − w(cᵀB⁻¹·)/denom with w = B⁻¹(𝟙 − e_{n−1}) and
   // denom = 1 + cᵀw; per column j, G e_j = g − w(cᵀg)/denom.
   linalg::Vector w(n, 1.0);
@@ -79,21 +84,34 @@ util::StatusOr<linalg::Matrix> try_sparse_resolvent(
     return util::Status(util::StatusCode::kSingularMatrix,
                         "try_sparse_resolvent: Sherman-Morrison denominator " +
                             std::to_string(denom));
+  // Columns go in blocks of kw: block q solves columns [kw·q, kw·q + kw)
+  // and writes them as kw-wide row chunks of g_perm.
+  constexpr std::size_t kw = sparse::BandedResolventLu::kBlockWidth;
   linalg::Matrix g_perm(n, n, 0.0);
-  runtime::parallel_for(ctx, n, [&](std::size_t j) {
-    linalg::Vector col(n, 0.0);
-    col[j] = 1.0;
-    lu->solve_inplace(col);
-    double cg = 0.0;
-    for (std::size_t i = 0; i < n; ++i) cg += c_perm[i] * col[i];
-    const double scale = cg / denom;
-    for (std::size_t i = 0; i < n; ++i) g_perm(i, j) = col[i] - scale * w[i];
+  double* gp = g_perm.data();
+  runtime::parallel_for(ctx, (n + kw - 1) / kw, [&](std::size_t q) {
+    const std::size_t first = q * kw;
+    const std::size_t cols_here = std::min(kw, n - first);
+    std::vector<double> x;
+    lu->solve_unit_block(first, x);
+    double scale[kw] = {};
+    for (std::size_t r = 0; r < cols_here; ++r) {
+      double cg = 0.0;
+      for (std::size_t i = 0; i < n; ++i) cg += c_perm[i] * x[i * kw + r];
+      scale[r] = cg / denom;
+    }
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t r = 0; r < cols_here; ++r)
+        gp[i * n + first + r] = x[i * kw + r] - scale[r] * w[i];
   });
   util::Status finite = util::check_finite(g_perm, "banded resolvent");
   if (!finite.is_ok()) return finite;
   linalg::Matrix g(n, n);
-  for (std::size_t a = 0; a < n; ++a)
-    for (std::size_t b = 0; b < n; ++b) g(perm[a], perm[b]) = g_perm(a, b);
+  double* gd = g.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    const double* src = gp + inv[i] * n;
+    for (std::size_t j = 0; j < n; ++j) gd[i * n + j] = src[inv[j]];
+  }
   return g;
 }
 

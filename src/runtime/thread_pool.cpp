@@ -85,11 +85,12 @@ void TaskGroup::run(std::function<void()> task) {
     } catch (...) {
       error = std::current_exception();
     }
-    {
-      util::MutexLock lock(mu_);
-      if (error) errors_.emplace_back(index, error);
-      ++finished_;
-    }
+    // Notify under the lock: once wait() sees the last finish it may return
+    // and destroy the group, so nothing may touch done_cv_ after mu_ is
+    // released.
+    util::MutexLock lock(mu_);
+    if (error) errors_.emplace_back(index, error);
+    ++finished_;
     done_cv_.notify_all();
   });
 }

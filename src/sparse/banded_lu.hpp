@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <vector>
 
 #include "src/linalg/matrix.hpp"
 #include "src/sparse/sparse_matrix.hpp"
@@ -39,13 +40,25 @@ class BandedResolventLu {
   /// Solves B x = rhs in place (forward + back substitution), O(n·b).
   void solve_inplace(linalg::Vector& rhs) const;
 
+  /// Number of unit columns solve_unit_block solves at once.
+  static constexpr std::size_t kBlockWidth = 4;
+
+  /// Solves B X = [e_first, …, e_first+3] into `x`, interleaved:
+  /// x[i * kBlockWidth + r] is row i of column first + r. Columns past n − 1
+  /// have a zero right-hand side. Each column is bit-identical to
+  /// solve_inplace(e_{first+r}); the block reads the band once for all four
+  /// and starts the forward pass at row `first`, above which every column
+  /// is +0 (DESIGN.md §12.2).
+  void solve_unit_block(std::size_t first, std::vector<double>& x) const;
+
  private:
   BandedResolventLu() = default;
 
+  /// Forward + back substitution on kBlockWidth interleaved columns whose
+  /// rows above `first` are +0 (the forward pass starts at row `first`).
+  void solve_block(std::size_t first, double* x) const;
+
   [[nodiscard]] double& band(std::size_t i, std::size_t j) {
-    return band_[i * (2 * b_ + 1) + (j + b_ - i)];
-  }
-  [[nodiscard]] double band(std::size_t i, std::size_t j) const {
     return band_[i * (2 * b_ + 1) + (j + b_ - i)];
   }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -12,6 +13,8 @@
 #include "gtest/gtest.h"
 #include "src/sensing/travel_model.hpp"
 #include "src/core/problem.hpp"
+#include "src/descent/initializers.hpp"
+#include "src/geometry/city_topology.hpp"
 #include "src/geometry/paper_topologies.hpp"
 #include "src/markov/fundamental.hpp"
 #include "src/markov/transition_matrix.hpp"
@@ -47,6 +50,49 @@ inline markov::TransitionMatrix random_positive_chain(std::size_t n,
     for (std::size_t j = 0; j < n; ++j) m(i, j) /= sum;
   }
   return markov::TransitionMatrix(std::move(m));
+}
+
+/// Weakly-coupled city fixture: uniform transitions over the radius-2
+/// neighbourhoods of a jittered grid (4-connected at minimum, so ergodic).
+inline markov::TransitionMatrix city_chain(std::size_t n, std::uint64_t seed) {
+  geometry::CityConfig cfg;
+  cfg.count = n;
+  cfg.seed = seed;
+  const auto topo = geometry::city_topology(cfg);
+  return descent::support_uniform_start(geometry::radius_neighbors(topo, 2.0));
+}
+
+/// Eq. 10's chain rule spelled with plain linalg products: the reference
+/// that markov::chain_rule_gradient must match bit for bit.
+inline linalg::Matrix reference_chain_rule_gradient(
+    const markov::ChainAnalysis& chain, const linalg::Vector& du_dpi,
+    const linalg::Matrix& du_dz, const linalg::Matrix& du_dp) {
+  const std::size_t n = chain.p.size();
+  const linalg::Vector z_dupi = linalg::mul(chain.z, du_dpi);
+  const linalg::Matrix zt = chain.z.transposed();
+  const linalg::Matrix term_zz = (zt * du_dz) * zt;
+  linalg::Vector col_sum_g(n, 0.0);
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) col_sum_g[j] += du_dz(i, j);
+  const linalg::Vector s =
+      linalg::mul(chain.z, linalg::mul(chain.z, col_sum_g));
+  linalg::Matrix grad(n, n);
+  for (std::size_t k = 0; k < n; ++k)
+    for (std::size_t l = 0; l < n; ++l)
+      grad(k, l) = chain.pi[k] * z_dupi[l] + term_zz(k, l) -
+                   chain.pi[k] * s[l] + du_dp(k, l);
+  return grad;
+}
+
+/// True when a and b hold the same bits (memcmp, not a tolerance).
+inline bool same_bits(const linalg::Matrix& a, const linalg::Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+inline bool same_bits(const linalg::Vector& a, const linalg::Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
 /// Standard paper problem: topology index 1..4, default physics, weights.

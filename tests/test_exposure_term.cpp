@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/markov/passage_times.hpp"
 #include "tests/helpers.hpp"
 
@@ -83,6 +85,32 @@ TEST(ExposureTerm, PartialsPopulateAllThreeChannels) {
   EXPECT_GT(pi_mag, 0.0);
   EXPECT_GT(linalg::frobenius_dot(p.du_dz, p.du_dz), 0.0);
   EXPECT_GT(linalg::frobenius_dot(p.du_dp, p.du_dp), 0.0);
+}
+
+TEST(ExposureTerm, RowSweepBitIdenticalToColumnLoop) {
+  // Reference: the column loop, h_i over ascending j with column i of Z
+  // read at stride M.
+  const auto column_loop = [](const markov::ChainAnalysis& chain) {
+    const std::size_t n = chain.p.size();
+    linalg::Vector e(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      double h = 0.0;
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j == i) continue;
+        h += chain.p(i, j) * (chain.z(i, i) - chain.z(j, i));
+      }
+      e[i] = h / (chain.pi[i] * std::max(1.0 - chain.p(i, i), 1e-12));
+    }
+    return e;
+  };
+  util::Rng rng(29);
+  for (const auto& p : {test::city_chain(192, 5), test::city_chain(150, 2),
+                        test::random_positive_chain(16, rng), test::chain3()}) {
+    const auto chain = markov::analyze_chain(p);
+    EXPECT_TRUE(test::same_bits(ExposureTerm::compute_mean_exposures(chain),
+                                column_loop(chain)))
+        << "M = " << p.size();
+  }
 }
 
 TEST(ExposureTerm, RejectsBadInput) {

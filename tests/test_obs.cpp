@@ -288,7 +288,8 @@ TEST(ObsQuantile, EdgeCases) {
   EXPECT_EQ(obs::histogram_quantile(bounds, counts, 4, 1.0, 2.0, -1.0), 1.0);
   EXPECT_EQ(obs::histogram_quantile(bounds, counts, 4, 1.0, 2.0, 1.0), 2.0);
   EXPECT_EQ(obs::histogram_quantile(bounds, counts, 4, 1.0, 2.0, 2.0), 2.0);
-  EXPECT_THROW(obs::histogram_quantile(bounds, {0, 4, 0}, 4, 1.0, 2.0, 0.5),
+  EXPECT_THROW(static_cast<void>(obs::histogram_quantile(bounds, {0, 4, 0}, 4,
+                                                         1.0, 2.0, 0.5)),
                std::invalid_argument);
 }
 

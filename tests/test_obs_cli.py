@@ -12,7 +12,10 @@ Drives the built mocos_cli binary and asserts the DESIGN.md §10 contract:
     and the result is loadable Chrome-tracing JSON,
   - MOCOS_TRACE=file enables tracing without the flag,
   - the chain_cache.* counters of a sparse city run add up to the descent's
-    probes, starts and iterations.
+    probes, starts and iterations,
+  - the --profile phases of a sparse city run split the chain solve
+    (resolvent/derive, factor/columns) with the same names and counts at
+    --jobs 1 and --jobs 4.
 
 Registered as the `ObsCli.*` ctests; runnable directly:
     python3 tests/test_obs_cli.py --cli build/tools/mocos_cli
@@ -276,6 +279,38 @@ class TraceOutput(unittest.TestCase):
         self.assertEqual(stacks, sorted(phases))
         self.assertIn("<svg", svg_text)
         self.assertIn("</svg>", svg_text)
+
+    def test_profile_splits_the_chain_solve_identically_across_jobs(self):
+        """A sparse city run's profile splits every chain.full_solve into
+        chain.resolvent and chain.derive, and the banded resolvent into
+        sparse.factor and sparse.columns. Phase names and counts are the
+        same at --jobs 1 and --jobs 4."""
+        shapes = {}
+        with tempfile.TemporaryDirectory() as tmp:
+            conf = os.path.join(tmp, "city.conf")
+            with open(conf, "w") as f:
+                f.write("topology = city:192:5\nradius = 0.1\n"
+                        "support_radius = 2.0\nalgorithm = adaptive\n"
+                        "iterations = 2\n")
+            for jobs in ("1", "4"):
+                profile = os.path.join(tmp, "p%s.json" % jobs)
+                proc = run_cli([conf, "--jobs", jobs, "--profile", profile])
+                self.assertEqual(proc.returncode, 0, proc.stderr)
+                with open(profile) as f:
+                    phases = json.load(f)["phases"]
+                shapes[jobs] = {k: v["count"] for k, v in phases.items()}
+        self.assertEqual(shapes["1"], shapes["4"])
+        counts = shapes["1"]
+        solves = [k for k in counts if k.endswith("chain.full_solve")]
+        self.assertTrue(solves, sorted(counts))
+        for solve in solves:
+            for child in ("chain.resolvent", "chain.derive"):
+                self.assertEqual(counts.get(solve + ";" + child),
+                                 counts[solve], child)
+            resolvent = solve + ";chain.resolvent"
+            for child in ("sparse.factor", "sparse.columns"):
+                self.assertEqual(counts.get(resolvent + ";" + child),
+                                 counts[solve], child)
 
     def test_trace2flame_rejects_wrong_version(self):
         with tempfile.TemporaryDirectory() as tmp:

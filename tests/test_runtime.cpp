@@ -58,6 +58,21 @@ TEST(TaskGroup, PropagatesLowestIndexException) {
   }
 }
 
+TEST(TaskGroup, SurvivesDestructionRightAfterWait) {
+  // Each group dies as soon as wait() returns. The last worker must be done
+  // with the group by then, its notify included; under TSan a notify after
+  // the unlock shows up here as a race with the destructor.
+  runtime::ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  for (int g = 0; g < 2000; ++g) {
+    runtime::TaskGroup group(pool);
+    group.run([&ran] { ran.fetch_add(1); });
+    group.run([&ran] { ran.fetch_add(1); });
+    group.wait();
+  }
+  EXPECT_EQ(ran.load(), 4000);
+}
+
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
   for (std::size_t jobs : {std::size_t{1}, kParallelJobs}) {
     runtime::ExecutionContext ctx(jobs);

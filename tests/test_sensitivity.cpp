@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cli/cli.hpp"
+#include "src/cost/event_capture_term.hpp"
+#include "src/cost/exposure_term.hpp"
+#include "src/cost/partials.hpp"
 #include "src/markov/stationary.hpp"
+#include "src/util/config.hpp"
 #include "tests/helpers.hpp"
 
 namespace mocos::markov {
@@ -120,6 +125,41 @@ TEST(ChainRule, ReproducesDirectionalDerivative) {
     const double rhs = linalg::dot(g_pi, dpi) + linalg::frobenius_dot(g_z, dz) +
                        linalg::frobenius_dot(g_p, v);
     EXPECT_NEAR(lhs, rhs, 1e-9) << "trial " << t;
+  }
+}
+
+TEST(ChainRule, BitIdenticalToReferenceProducts) {
+  // city:192 under exposure and event capture: a support-restricted chain
+  // whose ∂U/∂Z is mostly exact zeros, the case the sparse first product
+  // skips. Then dense grid:4x4 under the full problem cost.
+  {
+    const std::size_t n = 192;
+    const ChainAnalysis chain = analyze_chain(test::city_chain(n, 5));
+    cost::Partials part(n);
+    cost::ExposureTerm(n, 1.0).accumulate_partials(chain, part);
+    cost::EventCaptureTerm(std::vector<double>(n, 1.0), 5.0, 1.0)
+        .accumulate_partials(chain, part);
+    std::size_t zeros = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) zeros += part.du_dz(i, j) == 0.0;
+    EXPECT_GT(zeros, n * n / 2);
+    EXPECT_LT(zeros, n * n);
+    EXPECT_TRUE(test::same_bits(
+        chain_rule_gradient(chain, part.du_dpi, part.du_dz, part.du_dp),
+        test::reference_chain_rule_gradient(chain, part.du_dpi, part.du_dz,
+                                            part.du_dp)));
+  }
+  {
+    const core::Problem problem = cli::build_problem(
+        util::Config::parse_string("topology = grid:4x4\n", "test"));
+    util::Rng rng(12);
+    const ChainAnalysis chain =
+        analyze_chain(test::random_positive_chain(16, rng));
+    const cost::Partials part = problem.make_cost().partials(chain);
+    EXPECT_TRUE(test::same_bits(
+        chain_rule_gradient(chain, part.du_dpi, part.du_dz, part.du_dp),
+        test::reference_chain_rule_gradient(chain, part.du_dpi, part.du_dz,
+                                            part.du_dp)));
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "src/core/optimizer.hpp"
 #include "src/descent/initializers.hpp"
@@ -13,6 +16,7 @@
 #include "src/markov/sparse_mode.hpp"
 #include "src/markov/stationary.hpp"
 #include "src/obs/metrics.hpp"
+#include "src/sparse/banded_lu.hpp"
 #include "src/util/rng.hpp"
 #include "tests/helpers.hpp"
 
@@ -28,15 +32,7 @@ struct ScopedSparseMode {
   ~ScopedSparseMode() { markov::force_sparse_mode(markov::SparseMode::kAuto); }
 };
 
-/// Weakly-coupled city fixture: uniform transitions over the radius-2
-/// neighbourhoods of a jittered grid (4-connected at minimum, so ergodic).
-markov::TransitionMatrix city_chain(std::size_t n, std::uint64_t seed) {
-  geometry::CityConfig cfg;
-  cfg.count = n;
-  cfg.seed = seed;
-  const auto topo = geometry::city_topology(cfg);
-  return descent::support_uniform_start(geometry::radius_neighbors(topo, 2.0));
-}
+using test::city_chain;
 
 double max_abs_gap(const linalg::Vector& a, const linalg::Vector& b) {
   double gap = 0.0;
@@ -178,6 +174,113 @@ TEST(SparseAnalysis, BitIdenticalForAnyJobCount) {
     EXPECT_EQ(a->pi[i], b->pi[i]);
   for (std::size_t i = 0; i < 144; ++i)
     for (std::size_t j = 0; j < 144; ++j) EXPECT_EQ(a->z(i, j), b->z(i, j));
+}
+
+/// RCM-ordered anchored system of a chain, factored the way
+/// partition::try_sparse_resolvent factors it.
+struct RcmSystem {
+  std::vector<std::size_t> perm;
+  linalg::Vector c;
+  sparse::BandedResolventLu lu;
+};
+
+RcmSystem rcm_system(const markov::TransitionMatrix& p) {
+  const std::size_t n = p.size();
+  const sparse::SparseMatrix sp = sparse::SparseMatrix::from_dense(p.matrix());
+  std::vector<std::size_t> perm = partition::bandwidth_ordering(sp);
+  std::vector<std::size_t> inv(n);
+  for (std::size_t a = 0; a < n; ++a) inv[perm[a]] = a;
+  std::vector<sparse::Triplet> entries;
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t e = sp.row_offsets()[i]; e < sp.row_offsets()[i + 1]; ++e)
+      entries.push_back({inv[i], inv[sp.col_indices()[e]], sp.values()[e]});
+  linalg::Vector c(n, 1.0 / static_cast<double>(n));
+  auto lu = sparse::BandedResolventLu::try_factor(
+      sparse::SparseMatrix::from_triplets(n, n, entries), c,
+      partition::pattern_bandwidth(sp, perm));
+  EXPECT_TRUE(lu.ok()) << lu.status().message();
+  return {std::move(perm), std::move(c), std::move(*lu)};
+}
+
+// city:192 has n % 4 == 0; the 150-PoI map leaves a 2-column tail block.
+struct MapSpec {
+  std::size_t n;
+  std::uint64_t seed;
+};
+constexpr MapSpec kBlockedMaps[] = {{192, 5}, {150, 2}};
+
+TEST(BandedResolventLu, UnitBlockMatchesSingleColumnSolvesBitwise) {
+  constexpr std::size_t kw = sparse::BandedResolventLu::kBlockWidth;
+  for (const auto& [n, seed] : kBlockedMaps) {
+    const RcmSystem sys = rcm_system(city_chain(n, seed));
+    std::vector<linalg::Vector> single(n, linalg::Vector(n, 0.0));
+    for (std::size_t j = 0; j < n; ++j) {
+      single[j][j] = 1.0;
+      sys.lu.solve_inplace(single[j]);
+    }
+    // A block at every start row, so each column is checked in every lane.
+    std::vector<double> x;
+    for (std::size_t first = 0; first < n; ++first) {
+      sys.lu.solve_unit_block(first, x);
+      ASSERT_EQ(x.size(), n * kw);
+      for (std::size_t r = 0; r < kw; ++r) {
+        linalg::Vector col(n);
+        for (std::size_t i = 0; i < n; ++i) col[i] = x[i * kw + r];
+        if (first + r < n) {
+          ASSERT_TRUE(test::same_bits(col, single[first + r]))
+              << "n " << n << " first " << first << " lane " << r;
+        } else {
+          for (double v : col) ASSERT_EQ(v, 0.0) << "zero lane " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(SparseResolvent, BitIdenticalForAnyJobCount) {
+  for (const auto& [n, seed] : kBlockedMaps) {
+    const sparse::SparseMatrix sp =
+        sparse::SparseMatrix::from_dense(city_chain(n, seed).matrix());
+    const linalg::Vector c(n, 1.0 / static_cast<double>(n));
+    const runtime::ExecutionContext one(1), four(4);
+    const auto serial = partition::try_sparse_resolvent(sp, c, {}, one);
+    const auto parallel = partition::try_sparse_resolvent(sp, c, {}, four);
+    ASSERT_TRUE(serial.ok() && parallel.ok());
+    EXPECT_TRUE(test::same_bits(*serial, *parallel)) << "n " << n;
+  }
+}
+
+TEST(SparseResolvent, MatchesColumnByColumnAssembly) {
+  // Reference assembly: one solve per column, then the Sherman-Morrison
+  // correction, then a scatter through the ordering.
+  for (const auto& [n, seed] : kBlockedMaps) {
+    const markov::TransitionMatrix p = city_chain(n, seed);
+    const RcmSystem sys = rcm_system(p);
+    linalg::Vector w(n, 1.0);
+    w[n - 1] = 0.0;
+    sys.lu.solve_inplace(w);
+    double denom = 1.0;
+    for (std::size_t i = 0; i < n; ++i) denom += sys.c[i] * w[i];
+    linalg::Matrix g_perm(n, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      linalg::Vector col(n, 0.0);
+      col[j] = 1.0;
+      sys.lu.solve_inplace(col);
+      double cg = 0.0;
+      for (std::size_t i = 0; i < n; ++i) cg += sys.c[i] * col[i];
+      const double scale = cg / denom;
+      for (std::size_t i = 0; i < n; ++i) g_perm(i, j) = col[i] - scale * w[i];
+    }
+    linalg::Matrix ref(n, n);
+    for (std::size_t a = 0; a < n; ++a)
+      for (std::size_t b = 0; b < n; ++b)
+        ref(sys.perm[a], sys.perm[b]) = g_perm(a, b);
+
+    const auto g = partition::try_sparse_resolvent(
+        sparse::SparseMatrix::from_dense(p.matrix()), sys.c);
+    ASSERT_TRUE(g.ok()) << g.status().message();
+    EXPECT_TRUE(test::same_bits(*g, ref)) << "n " << n;
+  }
 }
 
 TEST(SparseAnalysis, FullyCoupledChainStillMatchesDense) {
